@@ -102,24 +102,6 @@ pub struct RoutingTables {
 }
 
 impl RoutingTables {
-    /// Snapshots the LFTs *currently installed* in the subnet — the tables
-    /// packets would actually follow, as opposed to the ones an engine just
-    /// planned. Switches without an installed LFT are omitted. The
-    /// verification layer audits this view after sweeps and migrations.
-    #[must_use]
-    pub fn from_installed(subnet: &Subnet) -> Self {
-        let lfts: FxHashMap<NodeId, Lft> = subnet
-            .switches()
-            .filter_map(|n| subnet.lft(n.id).map(|lft| (n.id, lft.clone())))
-            .collect();
-        Self {
-            lfts,
-            vls: VlAssignment::SingleVl,
-            engine: "installed",
-            decisions: 0,
-        }
-    }
-
     /// Overwrites one destination column across every switch's LFT: switch
     /// `sw`'s row for `lid` becomes `f(sw)` (cleared on `None`). The splice
     /// primitive of incremental repair — every other column is untouched,

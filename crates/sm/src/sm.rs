@@ -343,9 +343,16 @@ impl SubnetManager {
         // the two are equal on live switches after distribution, but dead
         // switches keep stale rows the dirty-set scan still reads, and the
         // index must agree with that scan exactly.
-        self.route_index = Some(ib_verify::ReverseRouteIndex::from_installed(subnet));
+        self.rebuild_route_index(subnet);
         self.last_tables = Some(tables);
         Ok(report)
+    }
+
+    /// Rebuilds the reverse route index from every installed table, under
+    /// the `sm.rindex_rebuild` span.
+    pub(crate) fn rebuild_route_index(&mut self, subnet: &Subnet) {
+        let _span = self.ledger.observer().span("sm.rindex_rebuild");
+        self.route_index = Some(ib_verify::ReverseRouteIndex::from_installed(subnet));
     }
 
     /// Drops every deferred link-down trap because a full-table
@@ -366,17 +373,35 @@ impl SubnetManager {
     /// columns from the installed tables into the repair baseline and the
     /// reverse index, so a later incremental repair splices against what is
     /// actually on the switches instead of silently reverting the move.
-    /// A no-op for columns the SM has no baseline for.
+    ///
+    /// The reverse index moves each LID from its old (switch, port) set to
+    /// its new one, reading the old rows off the baseline before the splice
+    /// overwrites them: O(switches) per column. When an old row is not
+    /// where the index holds it, or there is no baseline, the column is
+    /// re-derived from every installed table instead, counted as
+    /// `rindex.refresh_fallback`.
     pub fn note_columns_changed(&mut self, subnet: &Subnet, lids: &[ib_types::Lid]) {
-        if let Some(tables) = self.last_tables.as_mut() {
-            for &lid in lids {
+        for &lid in lids {
+            let before = self.last_tables.as_mut().map(|tables| {
+                let before: Vec<(NodeId, Option<ib_types::PortNum>)> = tables
+                    .lfts
+                    .iter()
+                    .map(|(&sw, lft)| (sw, lft.get(lid)))
+                    .collect();
                 tables.set_column(lid, |sw| subnet.lft(sw).and_then(|l| l.get(lid)));
-            }
-        }
-        if let Some(idx) = self.route_index.as_mut() {
-            for &lid in lids {
+                before
+            });
+            let Some(idx) = self.route_index.as_mut() else {
+                continue;
+            };
+            if !before.is_some_and(|before| idx.move_column(subnet, lid, &before)) {
+                self.ledger.observer().incr("rindex.refresh_fallback");
                 idx.refresh_column_from_installed(subnet, lid);
             }
+            debug_assert!(
+                idx.column_matches_installed(subnet, lid),
+                "reverse route index diverged from the installed rows of LID {lid}"
+            );
         }
     }
 
@@ -746,5 +771,62 @@ mod tests {
         let report = sm2.full_reconfiguration(&mut t.subnet).unwrap();
         assert!(report.distribution.lft_smps > 0);
         assert!(sm2.ledger.records().iter().all(|r| !r.directed));
+    }
+
+    /// Swaps two host LIDs' rows on every switch behind the SM's back, the
+    /// way an Algorithm-1 migration does, and returns the two LIDs.
+    fn swap_rows_out_of_band(t: &mut ib_subnet::topology::BuiltTopology) -> [Lid; 2] {
+        let a = t.subnet.node(t.hosts[0]).ports[1].lid.unwrap();
+        let b = t.subnet.node(t.hosts[5]).ports[1].lid.unwrap();
+        for sw in t.all_switches() {
+            t.subnet.lft_mut(sw).unwrap().swap(a, b);
+        }
+        [a, b]
+    }
+
+    #[test]
+    fn noted_columns_move_in_the_index_without_a_refresh() {
+        let mut t = two_level(3, 3, 2);
+        let mut sm = SubnetManager::new(t.hosts[0], SmConfig::default());
+        sm.set_observer(ib_observe::Observer::metrics());
+        sm.bring_up(&mut t.subnet).unwrap();
+        let lids = swap_rows_out_of_band(&mut t);
+        assert!(
+            !sm.verify_route_index(&t.subnet).is_empty(),
+            "index is stale"
+        );
+        sm.note_columns_changed(&t.subnet, &lids);
+        assert!(sm.verify_route_index(&t.subnet).is_empty());
+        let snap = sm.observer().snapshot().unwrap();
+        assert_eq!(snap.counter("rindex.refresh_fallback"), 0);
+        assert_eq!(snap.spans_named("sm.rindex_rebuild").len(), 1);
+    }
+
+    #[test]
+    fn a_baseline_row_the_index_lacks_falls_back_to_a_counted_refresh() {
+        let mut t = two_level(3, 3, 2);
+        let mut sm = SubnetManager::new(t.hosts[0], SmConfig::default());
+        sm.set_observer(ib_observe::Observer::metrics());
+        sm.bring_up(&mut t.subnet).unwrap();
+        let lids = swap_rows_out_of_band(&mut t);
+        // Skew the baseline so its old row for the first LID names a port
+        // the index does not hold that LID under.
+        let leaf = t.switch_levels[0][0];
+        let row = sm.last_tables.as_ref().unwrap().lfts[&leaf].get(lids[0]);
+        let other = (1..t.subnet.node(leaf).ports.len() as u8)
+            .map(ib_types::PortNum::new)
+            .find(|&p| Some(p) != row && Some(p) != t.subnet.lft(leaf).unwrap().get(lids[0]))
+            .unwrap();
+        sm.last_tables
+            .as_mut()
+            .unwrap()
+            .lfts
+            .get_mut(&leaf)
+            .unwrap()
+            .set(lids[0], other);
+        sm.note_columns_changed(&t.subnet, &lids);
+        assert!(sm.verify_route_index(&t.subnet).is_empty());
+        let snap = sm.observer().snapshot().unwrap();
+        assert_eq!(snap.counter("rindex.refresh_fallback"), 1);
     }
 }

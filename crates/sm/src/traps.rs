@@ -531,7 +531,7 @@ impl SubnetManager {
                 // rewrote columns on switches the SM no longer serves:
                 // per-column splicing cannot track either, so rebuild the
                 // index from what is now installed.
-                self.route_index = Some(ib_verify::ReverseRouteIndex::from_installed(subnet));
+                self.rebuild_route_index(subnet);
             }
             self.verify_healed(subnet, &healed)?;
         } else {
@@ -670,7 +670,7 @@ impl SubnetManager {
                     }
                 }
             } else {
-                self.route_index = Some(ib_verify::ReverseRouteIndex::from_installed(subnet));
+                self.rebuild_route_index(subnet);
             }
             self.verify_healed(subnet, &healed)?;
         } else {
@@ -791,11 +791,11 @@ impl SubnetManager {
     /// sweep rebuilds it.
     fn refresh_route_index(&mut self, subnet: &Subnet, failed_blocks: &[FailedBlock]) {
         self.subsume_pending();
-        self.route_index = if failed_blocks.is_empty() {
-            Some(ib_verify::ReverseRouteIndex::from_installed(subnet))
+        if failed_blocks.is_empty() {
+            self.rebuild_route_index(subnet);
         } else {
-            None
-        };
+            self.route_index = None;
+        }
     }
 
     /// Runs the fabric verifier after a re-sweep when `config.verify` is

@@ -16,7 +16,7 @@
 //!    destination LID;
 //! 3. **Deadlock-freedom** — the channel dependency graph induced by the
 //!    installed tables (per virtual lane, when the engine layered them) is
-//!    acyclic, reusing the `ib-routing` CDG machinery;
+//!    acyclic;
 //! 4. **vSwitch addressing** — no LID is owned by two endpoints, every
 //!    registered LID resolves to a live port, and (via [`LftSnapshot`])
 //!    a swap/copy touches only the rows of the LIDs it was asked to move.
@@ -32,6 +32,11 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod affected;
+#[cfg(test)]
+mod differential;
+mod kernel;
+#[cfg(test)]
+mod reference;
 mod rindex;
 mod snapshot;
 mod verifier;

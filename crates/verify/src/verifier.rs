@@ -2,11 +2,14 @@
 //! installed LFTs.
 
 use ib_observe::Observer;
-use ib_routing::cdg::Cdg;
-use ib_routing::{RoutingTables, SwitchGraph, VlAssignment};
+use ib_routing::VlAssignment;
 use ib_subnet::{NodeId, Subnet};
 use ib_types::{IbResult, Lid};
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::FxHashMap;
+
+#[cfg(test)]
+use crate::kernel::LaneEdges;
+use crate::kernel::{Block, Fabric, LaneDeps, Link, Rows, ENDPOINT, NONE};
 
 /// Which invariant a violation breaks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -129,14 +132,191 @@ impl std::fmt::Display for VerifyReport {
     }
 }
 
-/// Where one switch's LFT sends a packet for one destination.
-enum NextHop {
+/// Where one switch's row sends a packet for one destination column.
+enum Hop {
     /// Arrives at the destination endpoint.
     Deliver,
     /// Forwards to another switch (by dense index).
     To(usize),
-    /// Terminal failure, with the reason.
-    Dead(String),
+    /// Terminal failure; [`Column::dead_reason`] says why.
+    Dead,
+}
+
+/// One destination column of one LFT block.
+struct Column<'b> {
+    /// The node answering to the LID.
+    target: NodeId,
+    /// The target's switch index, [`NONE`] when the target is an HCA.
+    target_switch: u32,
+    /// Every switch's row for the LID.
+    rows: Rows<'b>,
+}
+
+impl Column<'_> {
+    /// Resolves switch `s`'s row into a [`Hop`].
+    fn hop(&self, fabric: &Fabric<'_>, s: usize) -> Hop {
+        if s as u32 == self.target_switch {
+            return Hop::Deliver;
+        }
+        match self.rows.hops[s] {
+            NONE => Hop::Dead,
+            ENDPOINT => match self.rows.ports[s].map(|p| fabric.link(s, p)) {
+                Some(Link::Hca(node) | Link::Other(node)) if node == self.target => Hop::Deliver,
+                _ => Hop::Dead,
+            },
+            v if v == self.target_switch => Hop::Deliver,
+            v => Hop::To(v as usize),
+        }
+    }
+
+    /// Why switch `s`'s row is a [`Hop::Dead`].
+    fn dead_reason(&self, fabric: &Fabric<'_>, s: usize) -> String {
+        let subnet = fabric.subnet;
+        match self.rows.ports[s] {
+            None => "missing LFT row".into(),
+            Some(port) if port.is_drop() => "row is an explicit drop".into(),
+            Some(port) if port.is_management() => "row terminates at the wrong switch".into(),
+            Some(port) => match fabric.link(s, port) {
+                Link::Hca(node) => {
+                    format!("delivered to wrong endpoint {}", subnet.name_of(node))
+                }
+                Link::Other(node) => format!("forwards into non-switch {}", subnet.name_of(node)),
+                Link::Down | Link::Switch(_) => {
+                    format!("row forwards into downed/uncabled port {port}")
+                }
+            },
+        }
+    }
+}
+
+/// Scratch of the memoized column walk, reused across columns.
+struct WalkScratch {
+    outcome: Vec<u8>,
+    path: Vec<usize>,
+    /// Switches already reported for the current column.
+    reported: Vec<usize>,
+}
+
+impl WalkScratch {
+    /// True the first time `s` is reported for the current column.
+    fn first_report(&mut self, s: usize) -> bool {
+        if self.reported.contains(&s) {
+            return false;
+        }
+        self.reported.push(s);
+        true
+    }
+}
+
+/// Invariant 3's state during a pass: every column's dependencies are
+/// absorbed into the CDG of the lane(s) it rides.
+struct DeadlockCheck {
+    deps: LaneDeps,
+    lanes: ColumnLanes,
+}
+
+/// How a pass learns which lane a dependency belongs to.
+enum ColumnLanes {
+    /// A whole column rides one lane (`SingleVl`, `PerDestination`).
+    PerColumn,
+    /// Each (source switch, column) path rides its own lane
+    /// (`PerSwitchPair`, `PerSourceDestination`). Paths are walked from
+    /// every switch, so their chains — not just adjacent row pairs — form
+    /// the dependencies.
+    PerPath {
+        /// Delivery switch of each registered LID, by position.
+        delivery: Vec<u32>,
+        max_hops: usize,
+    },
+}
+
+impl DeadlockCheck {
+    fn new(
+        fabric: &Fabric<'_>,
+        lids: &[Lid],
+        vls: &VlAssignment,
+        max_hops: usize,
+    ) -> IbResult<Self> {
+        let delivery = lids
+            .iter()
+            .map(|&lid| fabric.delivery_switch(lid))
+            .collect::<IbResult<Vec<u32>>>()?;
+        let (mut lanes, per_path): (Vec<u8>, bool) = match vls {
+            VlAssignment::SingleVl => (Vec::new(), false),
+            VlAssignment::PerDestination(map) => (map.values().map(|v| v.raw()).collect(), false),
+            VlAssignment::PerSwitchPair(map) => (map.values().map(|v| v.raw()).collect(), true),
+            VlAssignment::PerSourceDestination(map) => {
+                (map.values().map(|v| v.raw()).collect(), true)
+            }
+        };
+        lanes.push(0);
+        Ok(Self {
+            deps: LaneDeps::new(fabric, lanes),
+            lanes: if per_path {
+                ColumnLanes::PerPath { delivery, max_hops }
+            } else {
+                ColumnLanes::PerColumn
+            },
+        })
+    }
+
+    /// Absorbs column `lid`, the `i`-th registered LID.
+    fn absorb(
+        &mut self,
+        fabric: &Fabric<'_>,
+        vls: &VlAssignment,
+        i: usize,
+        lid: Lid,
+        rows: Rows<'_>,
+    ) {
+        let deps = &mut self.deps;
+        let ColumnLanes::PerPath { delivery, max_hops } = &self.lanes else {
+            let slot = deps.slot(vls.lane_for(0, 0, lid).raw());
+            deps.add_column(fabric, slot, rows);
+            return;
+        };
+        let dest = delivery[i];
+        for s in 0..fabric.len() {
+            if s as u32 == dest {
+                continue;
+            }
+            let slot = deps.slot(vls.lane_for(s as u32, dest, lid).raw());
+            let mut cur = s;
+            let mut prev = NONE;
+            for _ in 0..*max_hops {
+                let next = rows.hops[cur];
+                if next >= ENDPOINT {
+                    break;
+                }
+                if prev != NONE {
+                    deps.add(slot, prev, rows.port(cur));
+                }
+                prev = rows.channel(fabric, cur);
+                cur = next as usize;
+                if cur as u32 == dest {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// Renders one cycle per cyclic lane as a deadlock violation.
+    fn report(&self, fabric: &Fabric<'_>, out: &mut Vec<Violation>) {
+        for (lane, cycle) in self.deps.cycles(fabric) {
+            let chain: Vec<String> = cycle
+                .iter()
+                .map(|&c| {
+                    let (s, p) = fabric.channel(c);
+                    format!("{}:p{}", fabric.subnet.name_of(fabric.switches[s]), p)
+                })
+                .collect();
+            out.push(Violation {
+                class: InvariantClass::DeadlockCycle,
+                detail: format!("VL{lane} channel dependency cycle: {}", chain.join(" -> ")),
+                lid: None,
+            });
+        }
+    }
 }
 
 /// Checks the four fabric invariants against a subnet's *installed* LFTs.
@@ -202,8 +382,13 @@ impl FabricVerifier {
         self
     }
 
-    /// Verifies all invariants assuming a single virtual lane (correct for
-    /// fat-tree / Up*/Down* / Min-Hop tables on tree-like fabrics).
+    /// Verifies all invariants assuming every route rides VL0.
+    ///
+    /// That is only right for tables whose engine uses one lane, such as
+    /// Up*/Down*. The fat-tree and Min-Hop engines put switch-LID columns
+    /// on VL1, so on the 5832-node fat tree this reports a VL0 cycle that
+    /// their real lanes do not have. For tables an SM installed, call
+    /// [`Self::verify_with_vls`] with `SubnetManager::installed_vls()`.
     pub fn verify(&self, subnet: &Subnet) -> IbResult<VerifyReport> {
         self.verify_with_vls(subnet, &VlAssignment::SingleVl)
     }
@@ -217,6 +402,11 @@ impl FabricVerifier {
 
     /// Like [`Self::verify_with_vls`], emitting `verify.*` counters and a
     /// `verify.run` span into `observer`.
+    ///
+    /// One pass resolves the fabric into dense tables once, then reads the
+    /// installed LFTs one 64-LID block at a time: each block feeds the
+    /// forwarding walks of its columns and, when the deadlock check is on,
+    /// the per-lane channel dependency graphs.
     pub fn verify_observed(
         &self,
         subnet: &Subnet,
@@ -224,44 +414,15 @@ impl FabricVerifier {
         observer: &Observer,
     ) -> IbResult<VerifyReport> {
         let _span = observer.span("verify.run");
-        let switches: Vec<NodeId> = subnet.switches().map(|n| n.id).collect();
-        let index_of: FxHashMap<NodeId, usize> = switches
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, i))
-            .collect();
-        let lids = subnet.lids();
-
-        // Reachability awareness: label the live switch components once,
-        // so a missing LFT row can be judged legal (the destination is
-        // genuinely beyond a split) or a violation (it is reachable and
-        // the row should exist) — and a *present* row toward an
-        // unreachable destination becomes a stale-route finding.
-        let comp = switch_components(subnet, &switches, &index_of);
-        let scope = self
-            .viewpoint
-            .and_then(|vp| component_of(subnet, vp, &index_of, &comp));
-
-        let mut violations = Vec::new();
-        self.check_addressing(subnet, &mut violations);
-        for &lid in &lids {
-            self.check_forwarding(
-                subnet,
-                &switches,
-                &index_of,
-                &comp,
-                scope,
-                lid,
-                &mut violations,
-            );
-        }
-        if self.deadlock {
-            self.check_deadlock(subnet, vls, &mut violations)?;
+        let fabric = Fabric::new(subnet);
+        let (mut violations, deadlock) = self.check(&fabric, vls)?;
+        if let Some(check) = &deadlock {
+            check.report(&fabric, &mut violations);
         }
 
         let report = VerifyReport {
-            switches: switches.len(),
-            lids: lids.len(),
+            switches: fabric.len(),
+            lids: subnet.num_lids(),
             violations,
         };
         if observer.is_enabled() {
@@ -292,6 +453,52 @@ impl FabricVerifier {
             }
         }
         Ok(report)
+    }
+
+    /// Runs the addressing check and every column's forwarding walk, and
+    /// — when the deadlock check is on — absorbs every column into the
+    /// lane dependency graphs, which are returned unsearched.
+    fn check(
+        &self,
+        fabric: &Fabric<'_>,
+        vls: &VlAssignment,
+    ) -> IbResult<(Vec<Violation>, Option<DeadlockCheck>)> {
+        let subnet = fabric.subnet;
+        let lids = subnet.lids();
+        // Reachability awareness: the live switch components, labelled
+        // once, let a missing LFT row be judged legal (the destination is
+        // genuinely beyond a split) or a violation (it is reachable and
+        // the row should exist) — and a *present* row toward an
+        // unreachable destination becomes a stale-route finding.
+        let scope = self.viewpoint.and_then(|vp| fabric.component_of(vp));
+        let mut deadlock = if self.deadlock {
+            Some(DeadlockCheck::new(fabric, &lids, vls, self.max_hops)?)
+        } else {
+            None
+        };
+
+        let mut violations = Vec::new();
+        self.check_addressing(subnet, &mut violations);
+        let mut block = Block::new(fabric);
+        let mut walk = WalkScratch {
+            outcome: vec![0; fabric.len()],
+            path: Vec::new(),
+            reported: Vec::new(),
+        };
+        let mut i = 0;
+        for chunk in lids.chunk_by(|a, b| a.lft_block() == b.lft_block()) {
+            block.load(fabric, chunk[0].lft_block());
+            for &lid in chunk {
+                let k = lid.lft_offset();
+                let rows = block.column(k);
+                self.check_forwarding(fabric, rows, scope, lid, &mut walk, &mut violations);
+                if let Some(check) = deadlock.as_mut() {
+                    check.absorb(fabric, vls, i, lid, rows);
+                }
+                i += 1;
+            }
+        }
+        Ok((violations, deadlock))
     }
 
     /// Invariant 4: LID ownership. Every LID is held by exactly one node,
@@ -368,99 +575,95 @@ impl FabricVerifier {
     /// every switch that *cannot* (the fabric is split) must hold an
     /// **empty or drop** row — one toward a real port is a stale route
     /// into the lost component.
-    #[allow(clippy::too_many_arguments)]
     fn check_forwarding(
         &self,
-        subnet: &Subnet,
-        switches: &[NodeId],
-        index_of: &FxHashMap<NodeId, usize>,
-        comp: &[u32],
+        fabric: &Fabric<'_>,
+        rows: Rows<'_>,
         scope: Option<u32>,
         lid: Lid,
+        walk: &mut WalkScratch,
         out: &mut Vec<Violation>,
     ) {
+        let subnet = fabric.subnet;
         let Some(target) = subnet.endpoint_of(lid) else {
             return; // Already reported by the addressing check.
         };
+        let col = Column {
+            target: target.node,
+            target_switch: fabric.switch_index(target.node).map_or(NONE, |s| s as u32),
+            rows,
+        };
+        let name = |s: usize| subnet.name_of(fabric.switches[s]);
         // The component the destination is delivered in; `None` when no
         // live delivery switch exists (the endpoint itself is gone), which
         // makes the LID unreachable from everywhere.
-        let dest_comp = component_of(subnet, target.node, index_of, comp);
+        let dest_comp = fabric.component_of(target.node);
         // One bounded table walk per switch, memoized through `outcome` so
         // shared suffixes are walked once; terminal failures and loops are
         // reported once per destination, not once per upstream switch.
-        let next: Vec<NextHop> = switches
-            .iter()
-            .map(|&sw| self.next_hop(subnet, index_of, sw, lid, target.node))
-            .collect();
-
         const UNKNOWN: u8 = 0;
         const ON_PATH: u8 = 1;
         const OK: u8 = 2;
         const BAD: u8 = 3;
-        let mut outcome = vec![UNKNOWN; switches.len()];
-        let mut reported: FxHashSet<usize> = FxHashSet::default();
+        walk.outcome.fill(UNKNOWN);
+        walk.reported.clear();
 
-        for start in 0..switches.len() {
-            if scope.is_some_and(|sc| comp[start] != sc) {
+        for start in 0..fabric.len() {
+            if scope.is_some_and(|sc| fabric.comp[start] != sc) {
                 // Beyond the viewpoint's split: not governable, not judged.
                 continue;
             }
-            if dest_comp != Some(comp[start]) {
+            if dest_comp != Some(fabric.comp[start]) {
                 // The destination is unreachable from this switch: the
                 // legal degraded states are an empty row or an explicit
                 // drop (distribution pads cleared rows to the drop port,
                 // OpenSM-style). A row toward a *port* points into the
                 // lost component and is stale.
-                if subnet
-                    .lft(switches[start])
-                    .and_then(|lft| lft.get(lid))
-                    .is_some_and(|p| !p.is_drop())
-                {
+                if rows.ports[start].is_some_and(|p| !p.is_drop()) {
                     out.push(Violation {
                         class: InvariantClass::StaleRoute,
                         detail: format!(
                             "LID {lid} at {}: stale route toward an unreachable destination",
-                            subnet.name_of(switches[start])
+                            name(start)
                         ),
                         lid: Some(lid),
                     });
                 }
                 continue;
             }
-            if outcome[start] != UNKNOWN {
+            if walk.outcome[start] != UNKNOWN {
                 continue;
             }
-            let mut path = vec![start];
-            outcome[start] = ON_PATH;
+            walk.path.clear();
+            walk.path.push(start);
+            walk.outcome[start] = ON_PATH;
             let verdict = loop {
-                let cur = *path.last().unwrap_or(&start);
-                match &next[cur] {
-                    NextHop::Deliver => break OK,
-                    NextHop::Dead(reason) => {
-                        if reported.insert(cur) {
+                let cur = walk.path[walk.path.len() - 1];
+                match col.hop(fabric, cur) {
+                    Hop::Deliver => break OK,
+                    Hop::Dead => {
+                        if walk.first_report(cur) {
                             out.push(Violation {
                                 class: InvariantClass::BlackHole,
                                 detail: format!(
-                                    "LID {lid} at {}: {reason}",
-                                    subnet.name_of(switches[cur])
+                                    "LID {lid} at {}: {}",
+                                    name(cur),
+                                    col.dead_reason(fabric, cur)
                                 ),
                                 lid: Some(lid),
                             });
                         }
                         break BAD;
                     }
-                    &NextHop::To(v) => match outcome[v] {
+                    Hop::To(v) => match walk.outcome[v] {
                         OK => break OK,
                         BAD => break BAD,
                         ON_PATH => {
                             // The walk re-entered its own path: a cycle.
-                            let from = path.iter().position(|&s| s == v).unwrap_or(0);
-                            if reported.insert(v) {
-                                let names: Vec<&str> = path[from..]
-                                    .iter()
-                                    .map(|&s| subnet.name_of(switches[s]))
-                                    .collect();
+                            let from = walk.path.iter().position(|&s| s == v).unwrap_or(0);
+                            if walk.first_report(v) {
+                                let names: Vec<&str> =
+                                    walk.path[from..].iter().map(|&s| name(s)).collect();
                                 out.push(Violation {
                                     class: InvariantClass::ForwardingLoop,
                                     detail: format!(
@@ -473,13 +676,13 @@ impl FabricVerifier {
                             break BAD;
                         }
                         _ => {
-                            if path.len() > self.max_hops {
-                                if reported.insert(cur) {
+                            if walk.path.len() > self.max_hops {
+                                if walk.first_report(cur) {
                                     out.push(Violation {
                                         class: InvariantClass::ForwardingLoop,
                                         detail: format!(
                                             "LID {lid}: walk from {} exceeded {} hops",
-                                            subnet.name_of(switches[start]),
+                                            name(start),
                                             self.max_hops
                                         ),
                                         lid: Some(lid),
@@ -487,240 +690,33 @@ impl FabricVerifier {
                                 }
                                 break BAD;
                             }
-                            outcome[v] = ON_PATH;
-                            path.push(v);
+                            walk.outcome[v] = ON_PATH;
+                            walk.path.push(v);
                         }
                     },
                 }
             };
-            for s in path {
-                outcome[s] = verdict;
+            for &s in &walk.path {
+                walk.outcome[s] = verdict;
             }
-        }
-    }
-
-    /// Resolves one switch's LFT entry for `lid` into a [`NextHop`].
-    fn next_hop(
-        &self,
-        subnet: &Subnet,
-        index_of: &FxHashMap<NodeId, usize>,
-        sw: NodeId,
-        lid: Lid,
-        target: NodeId,
-    ) -> NextHop {
-        if sw == target {
-            return NextHop::Deliver;
-        }
-        let Some(lft) = subnet.lft(sw) else {
-            return NextHop::Dead("no LFT installed".into());
-        };
-        let Some(port) = lft.get(lid) else {
-            return NextHop::Dead("missing LFT row".into());
-        };
-        if port.is_drop() {
-            return NextHop::Dead("row is an explicit drop".into());
-        }
-        if port.is_management() {
-            return NextHop::Dead("row terminates at the wrong switch".into());
-        }
-        let Some(remote) = subnet.neighbor(sw, port) else {
-            return NextHop::Dead(format!("row forwards into downed/uncabled port {port}"));
-        };
-        if remote.node == target {
-            return NextHop::Deliver;
-        }
-        if subnet.node(remote.node).is_hca() {
-            return NextHop::Dead(format!(
-                "delivered to wrong endpoint {}",
-                subnet.name_of(remote.node)
-            ));
-        }
-        match index_of.get(&remote.node) {
-            Some(&j) => NextHop::To(j),
-            None => NextHop::Dead(format!(
-                "forwards into non-switch {}",
-                subnet.name_of(remote.node)
-            )),
-        }
-    }
-
-    /// Invariant 3: the CDG of the installed tables is acyclic per lane.
-    fn check_deadlock(
-        &self,
-        subnet: &Subnet,
-        vls: &VlAssignment,
-        out: &mut Vec<Violation>,
-    ) -> IbResult<()> {
-        let g = SwitchGraph::build(subnet)?;
-        let tables = RoutingTables::from_installed(subnet);
-        match vls {
-            VlAssignment::SingleVl => {
-                let cdg = Cdg::from_tables(&g, &tables, |_| true);
-                Self::report_cdg_cycle(subnet, &g, &cdg, 0, out);
-            }
-            VlAssignment::PerDestination(map) => {
-                let mut lanes: Vec<u8> = map.values().map(|v| v.raw()).collect();
-                lanes.push(0);
-                lanes.sort_unstable();
-                lanes.dedup();
-                for lane in lanes {
-                    let cdg =
-                        Cdg::from_tables(&g, &tables, |d| vls.lane_for(0, 0, d.lid).raw() == lane);
-                    Self::report_cdg_cycle(subnet, &g, &cdg, lane, out);
-                }
-            }
-            VlAssignment::PerSwitchPair(_) | VlAssignment::PerSourceDestination(_) => {
-                self.check_deadlock_per_path(subnet, &g, &tables, vls, out);
-            }
-        }
-        Ok(())
-    }
-
-    /// Per-path CDG construction for path-granular lane assignments: each
-    /// (source switch, destination) path contributes its channel chain to
-    /// the CDG of *its* lane only.
-    fn check_deadlock_per_path(
-        &self,
-        subnet: &Subnet,
-        g: &SwitchGraph,
-        tables: &RoutingTables,
-        vls: &VlAssignment,
-        out: &mut Vec<Violation>,
-    ) {
-        // Per-switch port -> neighbor-switch map, as in Cdg::absorb_tables.
-        let port_to_switch: Vec<FxHashMap<u8, usize>> = (0..g.len())
-            .map(|s| {
-                g.neighbors(s)
-                    .iter()
-                    .map(|&(v, p)| (p.raw(), v as usize))
-                    .collect()
-            })
-            .collect();
-        let mut lanes: FxHashMap<u8, Cdg> = FxHashMap::default();
-        for dest in g.destinations() {
-            let mut next: Vec<Option<(u8, usize)>> = vec![None; g.len()];
-            for (s, n) in next.iter_mut().enumerate() {
-                let Some(lft) = tables.lfts.get(&g.node_id(s)) else {
-                    continue;
-                };
-                if let Some(p) = lft.get(dest.lid) {
-                    if !p.is_management() {
-                        if let Some(&v) = port_to_switch[s].get(&p.raw()) {
-                            *n = Some((p.raw(), v));
-                        }
-                    }
-                }
-            }
-            for s in 0..g.len() {
-                if s == dest.switch {
-                    continue;
-                }
-                let lane = vls.lane_for(s as u32, dest.switch as u32, dest.lid).raw();
-                let cdg = lanes.entry(lane).or_default();
-                let mut cur = s;
-                let mut prev: Option<usize> = None;
-                for _ in 0..self.max_hops {
-                    let Some((p, v)) = next[cur] else { break };
-                    let ch = cdg.intern((cur as u32, p));
-                    if let Some(pc) = prev {
-                        cdg.add_edge(pc, ch, dest.lid.raw());
-                    }
-                    prev = Some(ch);
-                    cur = v;
-                    if cur == dest.switch {
-                        break;
-                    }
-                }
-            }
-        }
-        let mut ordered: Vec<(u8, Cdg)> = lanes.into_iter().collect();
-        ordered.sort_unstable_by_key(|&(lane, _)| lane);
-        for (lane, cdg) in &ordered {
-            Self::report_cdg_cycle(subnet, g, cdg, *lane, out);
-        }
-    }
-
-    /// Renders one CDG cycle (if any) as a deadlock violation.
-    fn report_cdg_cycle(
-        subnet: &Subnet,
-        g: &SwitchGraph,
-        cdg: &Cdg,
-        lane: u8,
-        out: &mut Vec<Violation>,
-    ) {
-        if let Some(cycle) = cdg.find_cycle() {
-            let chain: Vec<String> = cycle
-                .iter()
-                .map(|&id| {
-                    let (s, p) = cdg.channel(id);
-                    format!("{}:p{}", subnet.name_of(g.node_id(s as usize)), p)
-                })
-                .collect();
-            out.push(Violation {
-                class: InvariantClass::DeadlockCycle,
-                detail: format!("VL{lane} channel dependency cycle: {}", chain.join(" -> ")),
-                lid: None,
-            });
         }
     }
 }
 
-/// Labels the live switch components: BFS over switch-switch cables that
-/// are up on both ends, in switch-list order (deterministic labels).
-fn switch_components(
-    subnet: &Subnet,
-    switches: &[NodeId],
-    index_of: &FxHashMap<NodeId, usize>,
-) -> Vec<u32> {
-    let mut label = vec![u32::MAX; switches.len()];
-    let mut queue: Vec<usize> = Vec::new();
-    let mut count = 0u32;
-    for root in 0..switches.len() {
-        if label[root] != u32::MAX {
-            continue;
-        }
-        label[root] = count;
-        queue.clear();
-        queue.push(root);
-        let mut head = 0;
-        while head < queue.len() {
-            let u = queue[head];
-            head += 1;
-            for (_, remote) in subnet.node(switches[u]).connected_ports() {
-                let Some(&v) = index_of.get(&remote.node) else {
-                    continue;
-                };
-                if label[v] == u32::MAX {
-                    label[v] = count;
-                    queue.push(v);
-                }
-            }
-        }
-        count += 1;
+#[cfg(test)]
+impl FabricVerifier {
+    /// Every lane's dependency edges as the deadlock pass builds them:
+    /// `(lane, [((switch, port), (switch, port))])`, ascending by lane,
+    /// with switch indices in `Subnet::switches` order.
+    pub(crate) fn dependency_edges(
+        &self,
+        subnet: &Subnet,
+        vls: &VlAssignment,
+    ) -> IbResult<Vec<LaneEdges>> {
+        let fabric = Fabric::new(subnet);
+        let (_, check) = self.with_deadlock(true).check(&fabric, vls)?;
+        Ok(check.map(|c| c.deps.edges(&fabric)).unwrap_or_default())
     }
-    label
-}
-
-/// The component a node's traffic is delivered in: a switch's own label,
-/// or — for an HCA — the label of its live attached switch. `None` when
-/// the node is dead or has no live switch uplink (unreachable from
-/// everywhere).
-fn component_of(
-    subnet: &Subnet,
-    node: NodeId,
-    index_of: &FxHashMap<NodeId, usize>,
-    comp: &[u32],
-) -> Option<u32> {
-    if !subnet.is_alive(node) {
-        return None;
-    }
-    if let Some(&i) = index_of.get(&node) {
-        return Some(comp[i]);
-    }
-    subnet
-        .node(node)
-        .connected_ports()
-        .find_map(|(_, remote)| index_of.get(&remote.node).map(|&i| comp[i]))
 }
 
 #[cfg(test)]
