@@ -540,7 +540,7 @@ fn deadlock() {
     );
 }
 
-/// §I / reference [10]: SA query load with and without address-preserving
+/// §I / reference \[10\]: SA query load with and without address-preserving
 /// migration.
 fn sa_cache() {
     use ib_sm::{PathRecordCache, SaService};

@@ -1,6 +1,6 @@
 //! DFSSSP: deadlock-free single-source-shortest-path routing.
 //!
-//! Two phases, mirroring Domke et al. (reference [28] of the paper, the
+//! Two phases, mirroring Domke et al. (reference \[28\] of the paper, the
 //! same work the paper cites for multi-minute path computation times):
 //!
 //! 1. **SSSP routing** — one weighted Dijkstra per delivery switch, with
@@ -28,7 +28,7 @@ use ib_types::{IbError, IbResult, PortNum, VirtualLane};
 use rustc_hash::FxHashMap;
 
 use crate::cdg::{Cdg, Channel};
-use crate::engine::{RoutingEngine, RoutingOptions};
+use crate::engine::{require_baseline, RoutingEngine, RoutingOptions};
 use crate::graph::{parallel_for_each, SwitchGraph};
 use crate::tables::{stages_to_lfts, RoutingTables, VlAssignment};
 
@@ -220,22 +220,16 @@ impl RoutingEngine for Dfsssp {
     /// their prior lanes, repaired paths start on the base lane, and the
     /// usual cycle-lifting restores per-lane acyclicity or errors out when
     /// lanes are exhausted (the SM then falls back to a full sweep).
-    fn incremental_repair(&self) -> bool {
-        true
-    }
-
     fn repair_with_graph(
         &self,
-        subnet: &Subnet,
+        _subnet: &Subnet,
         g: &SwitchGraph,
         opts: RoutingOptions,
         prior: &RoutingTables,
         dirty_dests: &[ib_types::Lid],
         observer: &Observer,
     ) -> IbResult<RoutingTables> {
-        if g.is_empty() || (0..g.len()).any(|s| !prior.lfts.contains_key(&g.node_id(s))) {
-            return self.compute_with(subnet, opts, observer);
-        }
+        require_baseline(self.name(), g, prior)?;
         let _span = observer.span("routing.dfsssp.repair");
         let n = g.len();
         let dirty: rustc_hash::FxHashSet<u16> = dirty_dests.iter().map(|l| l.raw()).collect();

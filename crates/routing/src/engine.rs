@@ -2,7 +2,7 @@
 
 use ib_observe::Observer;
 use ib_subnet::Subnet;
-use ib_types::IbResult;
+use ib_types::{IbError, IbResult};
 
 use crate::graph::SwitchGraph;
 use crate::tables::RoutingTables;
@@ -88,37 +88,19 @@ pub trait RoutingEngine: Send + Sync {
     /// rewrite — reconfiguration cost scales with the damage, not the
     /// fabric.
     ///
-    /// Callers must treat the result as *untrusted* until it passes
-    /// `FabricVerifier` — the splice preserves per-column correctness, but
-    /// global properties (deadlock freedom across mixed old/new columns)
-    /// need the gate.
-    ///
-    /// The default implementation builds the CSR [`SwitchGraph`] once and
-    /// delegates to [`RoutingEngine::repair_with_graph`]; engines override
-    /// that method, not this one. Callers that already hold a current
-    /// graph (the SM's quiet-epoch cache) call `repair_with_graph`
-    /// directly and skip the rebuild.
-    fn repair_with(
-        &self,
-        subnet: &Subnet,
-        opts: RoutingOptions,
-        prior: &RoutingTables,
-        dirty_dests: &[ib_types::Lid],
-        observer: &Observer,
-    ) -> IbResult<RoutingTables> {
-        let g = SwitchGraph::build(subnet)?;
-        self.repair_with_graph(subnet, &g, opts, prior, dirty_dests, observer)
-    }
-
-    /// [`RoutingEngine::repair_with`] against a caller-supplied CSR graph.
     /// `graph` must be [`SwitchGraph::build`]'s output for `subnet` in its
     /// *current* fault state — the SM caches it across repair sweeps in a
     /// quiet topology epoch and rebuilds only when
     /// `Subnet::topology_epoch` moves.
     ///
-    /// The default implementation ignores the graph and the incremental
-    /// inputs and falls back to a full [`RoutingEngine::compute_with`];
-    /// engines with a real incremental path override it.
+    /// A `prior` that cannot seed a splice (no LFT for some live switch,
+    /// or engine-specific state the repair reads back) is an `Err`, never
+    /// a silent full recompute: every `Ok` is a genuine column splice, and
+    /// the caller decides — and counts — what to do instead. Callers must
+    /// still treat the result as *untrusted* until it passes
+    /// `FabricVerifier` — the splice preserves per-column correctness, but
+    /// global properties (deadlock freedom across mixed old/new columns)
+    /// need the gate.
     fn repair_with_graph(
         &self,
         subnet: &Subnet,
@@ -127,68 +109,67 @@ pub trait RoutingEngine: Send + Sync {
         prior: &RoutingTables,
         dirty_dests: &[ib_types::Lid],
         observer: &Observer,
-    ) -> IbResult<RoutingTables> {
-        let _ = (graph, prior, dirty_dests);
-        self.compute_with(subnet, opts, observer)
-    }
+    ) -> IbResult<RoutingTables>;
+}
 
-    /// Whether [`RoutingEngine::repair_with`] is genuinely incremental:
-    /// re-routing only the dirty columns and leaving every other column
-    /// of `prior` byte-identical. Engines on the default full-recompute
-    /// fallback return `false`, telling callers that track derived state
-    /// per column (the SM's reverse route index) that a "repair" may
-    /// have rewritten *any* column.
-    fn incremental_repair(&self) -> bool {
-        false
+/// Repairs a *burst* of faults: folds [`RoutingEngine::repair_with_graph`]
+/// over the per-fault dirty groups in order, each repair splicing into the
+/// previous result and every step sharing `graph`. Groups must be disjoint
+/// and every faulted link must already be down in `subnet` before the call
+/// — then each fold step sees exactly the columns the corresponding serial
+/// repair sweep would have re-routed, and the final tables are
+/// **byte-identical** to running the k repairs one trap at a time. A
+/// single fault is a fold of one group: exactly one `repair_with_graph`
+/// call.
+///
+/// Deliberately *not* a single repair over the union: engines with
+/// load-balancing state (Min-Hop's least-loaded port seeding) give
+/// different — equally valid but not identical — answers when columns are
+/// re-routed together versus one fault at a time, and the batched path's
+/// contract is "same tables, fewer SMPs and verifier passes". Empty groups
+/// (faults fully subsumed by earlier repairs) are skipped, matching the
+/// serial path's clean no-op.
+pub fn repair_batch(
+    engine: &dyn RoutingEngine,
+    subnet: &Subnet,
+    graph: &SwitchGraph,
+    opts: RoutingOptions,
+    prior: &RoutingTables,
+    dirty_groups: &[Vec<ib_types::Lid>],
+    observer: &Observer,
+) -> IbResult<RoutingTables> {
+    let mut cur: Option<RoutingTables> = None;
+    for group in dirty_groups.iter().filter(|g| !g.is_empty()) {
+        let base = cur.as_ref().unwrap_or(prior);
+        cur = Some(engine.repair_with_graph(subnet, graph, opts, base, group, observer)?);
     }
+    Ok(cur.unwrap_or_else(|| prior.clone()))
+}
 
-    /// Repairs a *burst* of faults in one call: folds
-    /// [`RoutingEngine::repair_with`] over the per-fault dirty groups in
-    /// order, each repair splicing into the previous result. Groups must be
-    /// disjoint and every faulted link must already be down in `subnet`
-    /// before the call — then each fold step sees exactly the columns the
-    /// corresponding serial repair sweep would have re-routed, and the final
-    /// tables are **byte-identical** to running the k repairs one trap at a
-    /// time.
-    ///
-    /// Deliberately *not* a single `repair_with` over the union: engines
-    /// with load-balancing state (Min-Hop's least-loaded port seeding) give
-    /// different — equally valid but not identical — answers when columns
-    /// are re-routed together versus one fault at a time, and the batched
-    /// path's contract is "same tables, fewer SMPs and verifier passes".
-    /// Empty groups (faults fully subsumed by earlier repairs) are skipped,
-    /// matching the serial path's clean no-op.
-    fn repair_batch_with(
-        &self,
-        subnet: &Subnet,
-        opts: RoutingOptions,
-        prior: &RoutingTables,
-        dirty_groups: &[Vec<ib_types::Lid>],
-        observer: &Observer,
-    ) -> IbResult<RoutingTables> {
-        let g = SwitchGraph::build(subnet)?;
-        self.repair_batch_with_graph(subnet, &g, opts, prior, dirty_groups, observer)
+/// The baseline check every engine's repair runs first: `prior` must hold
+/// an LFT for each switch of `graph` (and the graph must have switches at
+/// all) for a column splice to keep the clean columns. Anything else is an
+/// unusable baseline, reported as an `Err` naming `engine`.
+pub(crate) fn require_baseline(
+    engine: &str,
+    graph: &SwitchGraph,
+    prior: &RoutingTables,
+) -> IbResult<()> {
+    if graph.is_empty() {
+        return Err(unusable_baseline(engine, "no switches to route"));
     }
+    match (0..graph.len()).find(|&s| !prior.lfts.contains_key(&graph.node_id(s))) {
+        Some(s) => Err(unusable_baseline(
+            engine,
+            &format!("no LFT for switch {:?}", graph.node_id(s)),
+        )),
+        None => Ok(()),
+    }
+}
 
-    /// [`RoutingEngine::repair_batch_with`] against a caller-supplied CSR
-    /// graph, sharing one graph across every fold step (and with the SM's
-    /// quiet-epoch cache). Same contract as `repair_batch_with`.
-    fn repair_batch_with_graph(
-        &self,
-        subnet: &Subnet,
-        graph: &SwitchGraph,
-        opts: RoutingOptions,
-        prior: &RoutingTables,
-        dirty_groups: &[Vec<ib_types::Lid>],
-        observer: &Observer,
-    ) -> IbResult<RoutingTables> {
-        let mut cur: Option<RoutingTables> = None;
-        for group in dirty_groups.iter().filter(|g| !g.is_empty()) {
-            let base = cur.as_ref().unwrap_or(prior);
-            cur = Some(self.repair_with_graph(subnet, graph, opts, base, group, observer)?);
-        }
-        Ok(cur.unwrap_or_else(|| prior.clone()))
-    }
+/// The `Err` a repair returns when `prior` cannot seed a column splice.
+pub(crate) fn unusable_baseline(engine: &str, why: &str) -> IbError {
+    IbError::Management(format!("{engine} repair: unusable baseline ({why})"))
 }
 
 /// The engines of Fig. 7 (plus Up*/Down*, used in the deadlock analysis).
@@ -357,7 +338,7 @@ mod tests {
             .collect()
     }
 
-    /// `repair_batch_with` over baseline-derived dirty groups (earlier
+    /// [`repair_batch`] over baseline-derived dirty groups (earlier
     /// groups subtracted) must produce tables byte-identical to repairing
     /// the faults one trap at a time, each serial step re-scanning against
     /// the tables the previous repair produced. Valid because every faulted
@@ -394,6 +375,7 @@ mod tests {
             // Serial arm: re-scan against the evolving tables.
             let opts = RoutingOptions::default();
             let obs = ib_observe::Observer::disabled();
+            let g = SwitchGraph::build(&t.subnet).unwrap();
             let mut serial = t0.clone();
             for &(n, p) in &faults {
                 let dirty = affected(&t.subnet, &serial, n, p);
@@ -401,7 +383,7 @@ mod tests {
                     continue;
                 }
                 serial = engine
-                    .repair_with(&t.subnet, opts, &serial, &dirty, &obs)
+                    .repair_with_graph(&t.subnet, &g, opts, &serial, &dirty, &obs)
                     .unwrap();
             }
 
@@ -417,9 +399,8 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            let batch = engine
-                .repair_batch_with(&t.subnet, opts, &t0, &groups, &obs)
-                .unwrap();
+            let batch =
+                repair_batch(engine.as_ref(), &t.subnet, &g, opts, &t0, &groups, &obs).unwrap();
 
             assert_eq!(batch.lfts, serial.lfts, "{kind}");
             assert_eq!(batch.vls, serial.vls, "{kind}");

@@ -14,7 +14,7 @@
 //! leaves); callers fall back to Min-Hop in that case.
 //!
 //! Switch-destined LIDs are routed up*/down*-legally on a dedicated
-//! lane (see [`crate::swcols`]) — d-mod-k valleys between sibling
+//! lane (see `swcols`) — d-mod-k valleys between sibling
 //! spines would otherwise close credit loops, the caveat OpenSM's own
 //! ftree documents for switch-to-switch paths.
 
@@ -23,7 +23,7 @@ use ib_subnet::Subnet;
 use ib_types::{IbError, IbResult, PortNum};
 use rustc_hash::{FxHashMap, FxHashSet};
 
-use crate::engine::{RoutingEngine, RoutingOptions};
+use crate::engine::{require_baseline, RoutingEngine, RoutingOptions};
 use crate::graph::{parallel_for_each, Destination, DistanceMatrix, SwitchGraph};
 use crate::swcols::{switch_dest_vls, SwitchColumns};
 use crate::tables::{stages_to_lfts, RoutingTables, VlAssignment};
@@ -172,23 +172,16 @@ impl RoutingEngine for FatTree {
     /// past the full sweep's. The result approximates (it is not
     /// byte-equal to) a full recompute, which is why the SM gates every
     /// repair behind the fabric verifier.
-    fn incremental_repair(&self) -> bool {
-        true
-    }
-
     fn repair_with_graph(
         &self,
-        subnet: &Subnet,
+        _subnet: &Subnet,
         g: &SwitchGraph,
         opts: RoutingOptions,
         prior: &RoutingTables,
         dirty_dests: &[ib_types::Lid],
         observer: &Observer,
     ) -> IbResult<RoutingTables> {
-        // No usable baseline: fall back to the full compute.
-        if g.is_empty() || (0..g.len()).any(|s| !prior.lfts.contains_key(&g.node_id(s))) {
-            return self.compute_with(subnet, opts, observer);
-        }
+        require_baseline(self.name(), g, prior)?;
         let _span = observer.span("routing.fat-tree.repair");
         // A fault cannot un-layer a fat tree, but it can disconnect a
         // switch — revalidate so a broken tree errors out to the SM's

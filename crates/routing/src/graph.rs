@@ -2,7 +2,7 @@
 //! plus the flat-array compute substrate every engine's hot path runs on:
 //! a CSR adjacency, a reusable zero-allocation BFS workspace
 //! ([`BfsScratch`]), a row-major [`DistanceMatrix`], and a deterministic
-//! scoped-thread fan-out ([`parallel_for_each`]).
+//! scoped-thread fan-out (`parallel_for_each`).
 
 use std::collections::VecDeque;
 

@@ -21,7 +21,7 @@ use ib_types::{IbError, IbResult, PortNum, VirtualLane};
 use rustc_hash::{FxHashMap, FxHashSet};
 
 use crate::cdg::{Cdg, Channel};
-use crate::engine::{RoutingEngine, RoutingOptions};
+use crate::engine::{require_baseline, unusable_baseline, RoutingEngine, RoutingOptions};
 use crate::graph::{parallel_for_each, Destination, SwitchGraph};
 use crate::tables::{stages_to_lfts, RoutingTables, VlAssignment};
 
@@ -229,13 +229,9 @@ impl RoutingEngine for Lash {
     /// the budget, and only errors out (a *counted* fallback at the SM)
     /// when the budget is exhausted — the whole fabric is never
     /// re-layered.
-    fn incremental_repair(&self) -> bool {
-        true
-    }
-
     fn repair_with_graph(
         &self,
-        subnet: &Subnet,
+        _subnet: &Subnet,
         g: &SwitchGraph,
         opts: RoutingOptions,
         prior: &RoutingTables,
@@ -244,14 +240,15 @@ impl RoutingEngine for Lash {
     ) -> IbResult<RoutingTables> {
         // A usable baseline needs every switch's LFT *and* a per-pair (or
         // single-lane) assignment to re-seed the layers from.
-        if g.is_empty()
-            || (0..g.len()).any(|s| !prior.lfts.contains_key(&g.node_id(s)))
-            || !matches!(
-                prior.vls,
-                VlAssignment::SingleVl | VlAssignment::PerSwitchPair(_)
-            )
-        {
-            return self.compute_with(subnet, opts, observer);
+        require_baseline(self.name(), g, prior)?;
+        if !matches!(
+            prior.vls,
+            VlAssignment::SingleVl | VlAssignment::PerSwitchPair(_)
+        ) {
+            return Err(unusable_baseline(
+                self.name(),
+                "VLs neither single-lane nor per switch pair",
+            ));
         }
         let _span = observer.span("routing.lash.repair");
         let n = g.len();
@@ -273,8 +270,8 @@ impl RoutingEngine for Lash {
         // pair's path is read back from (all pairs toward one delivery
         // switch ride the same in-tree, so one column per switch
         // suffices). A switch with no LID leaves its pairs' paths
-        // unreconstructable — recompute instead (never the case once the
-        // SM has assigned switch LIDs).
+        // unreconstructable — an unusable baseline (never the case once
+        // the SM has assigned switch LIDs).
         let first_dest: Vec<Destination> = {
             let mut fd: Vec<Option<Destination>> = vec![None; n];
             for d in g.destinations() {
@@ -283,7 +280,7 @@ impl RoutingEngine for Lash {
                 }
             }
             if fd.iter().any(Option::is_none) {
-                return self.compute_with(subnet, opts, observer);
+                return Err(unusable_baseline(self.name(), "a switch has no LID"));
             }
             fd.into_iter().flatten().collect()
         };
@@ -737,5 +734,25 @@ mod tests {
         assign_lids(&mut t);
         let engine = Lash { max_vls: 1 };
         assert!(engine.compute(&t.subnet).is_err());
+    }
+
+    /// A baseline whose lanes are not per switch pair cannot re-seed the
+    /// layers: the repair refuses it instead of recomputing the fabric.
+    #[test]
+    fn repair_refuses_a_per_destination_baseline() {
+        let mut t = torus_2d(4, 4, 1, true);
+        assign_lids(&mut t);
+        let g = SwitchGraph::build(&t.subnet).unwrap();
+        let mut prior = Lash::default().compute(&t.subnet).unwrap();
+        prior.vls = VlAssignment::PerDestination(FxHashMap::default());
+        let result = Lash::default().repair_with_graph(
+            &t.subnet,
+            &g,
+            RoutingOptions::default(),
+            &prior,
+            &t.subnet.lids(),
+            &Observer::disabled(),
+        );
+        assert!(result.is_err());
     }
 }

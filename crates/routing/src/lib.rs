@@ -45,6 +45,6 @@ pub mod tables;
 pub mod testutil;
 pub mod updn;
 
-pub use engine::{EngineKind, RoutingEngine, RoutingOptions};
+pub use engine::{repair_batch, EngineKind, RoutingEngine, RoutingOptions};
 pub use graph::{BfsScratch, Components, Destination, DistanceMatrix, SwitchGraph};
 pub use tables::{RoutingTables, VlAssignment};

@@ -10,7 +10,7 @@
 //! Fig. 7.
 //!
 //! Switch-destined LIDs are routed up*/down*-legally on a dedicated
-//! lane (see [`crate::swcols`]) — least-loaded valleys between sibling
+//! lane (see `swcols`) — least-loaded valleys between sibling
 //! spines would otherwise close credit loops on the host lane.
 
 use ib_observe::Observer;
@@ -18,7 +18,7 @@ use ib_subnet::Subnet;
 use ib_types::{IbError, IbResult, PortNum};
 use rustc_hash::FxHashMap;
 
-use crate::engine::{RoutingEngine, RoutingOptions};
+use crate::engine::{require_baseline, RoutingEngine, RoutingOptions};
 use crate::graph::{DistanceMatrix, SwitchGraph};
 use crate::swcols::{switch_dest_vls, SwitchColumns};
 use crate::tables::{stages_to_lfts, RoutingTables, VlAssignment};
@@ -133,24 +133,16 @@ impl RoutingEngine for MinHop {
     /// result approximates (it is not byte-equal to) a full recompute —
     /// which is exactly why the SM gates every repair behind the fabric
     /// verifier before trusting it.
-    fn incremental_repair(&self) -> bool {
-        true
-    }
-
     fn repair_with_graph(
         &self,
-        subnet: &Subnet,
+        _subnet: &Subnet,
         g: &SwitchGraph,
         opts: RoutingOptions,
         prior: &RoutingTables,
         dirty_dests: &[ib_types::Lid],
         observer: &Observer,
     ) -> IbResult<RoutingTables> {
-        // No usable baseline (or nothing to route): not an error, just no
-        // savings to be had — do the full compute.
-        if g.is_empty() || (0..g.len()).any(|s| !prior.lfts.contains_key(&g.node_id(s))) {
-            return self.compute_with(subnet, opts, observer);
-        }
+        require_baseline(self.name(), g, prior)?;
         let _span = observer.span("routing.minhop.repair");
         let dirty: rustc_hash::FxHashSet<u16> = dirty_dests.iter().map(|l| l.raw()).collect();
         // Destination order is preserved from the full compute, so the

@@ -18,7 +18,7 @@ use ib_subnet::Subnet;
 use ib_types::{IbError, IbResult, PortNum};
 use rustc_hash::{FxHashMap, FxHashSet};
 
-use crate::engine::{RoutingEngine, RoutingOptions};
+use crate::engine::{require_baseline, RoutingEngine, RoutingOptions};
 use crate::graph::{parallel_for_each, Components, SwitchGraph};
 use crate::tables::{stages_to_lfts, RoutingTables, VlAssignment};
 
@@ -299,23 +299,16 @@ impl RoutingEngine for UpDown {
     /// inflate the dirty-block diff past the full sweep's. The result
     /// approximates (it is not byte-equal to) a full recompute, which is
     /// why the SM gates every repair behind the fabric verifier.
-    fn incremental_repair(&self) -> bool {
-        true
-    }
-
     fn repair_with_graph(
         &self,
-        subnet: &Subnet,
+        _subnet: &Subnet,
         g: &SwitchGraph,
         opts: RoutingOptions,
         prior: &RoutingTables,
         dirty_dests: &[ib_types::Lid],
         observer: &Observer,
     ) -> IbResult<RoutingTables> {
-        // No usable baseline: fall back to the full compute.
-        if g.is_empty() || (0..g.len()).any(|s| !prior.lfts.contains_key(&g.node_id(s))) {
-            return self.compute_with(subnet, opts, observer);
-        }
+        require_baseline(self.name(), g, prior)?;
         let _span = observer.span("routing.up-down.repair");
         let n = g.len();
         // The orientation state is recomputed from scratch on the degraded

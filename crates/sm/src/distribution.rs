@@ -8,7 +8,7 @@
 //!
 //! Distribution runs in two phases. **Planning** is read-only over the
 //! subnet: per switch, compute SMP addressing and diff the installed LFT
-//! against a borrowed padded view of the target ([`PaddedLftView`]),
+//! against a borrowed padded view of the target ([`ib_subnet::PaddedLftView`]),
 //! materializing one payload per dirty block. Planning fans out across
 //! scoped worker threads when [`SweepOptions::workers`] asks for it and the
 //! per-chunk results are merged back in ascending switch order.

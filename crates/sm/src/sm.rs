@@ -132,10 +132,11 @@ pub struct SmConfig {
     /// Answer link-down traps with an *incremental repair* sweep: re-route
     /// only the destination columns whose installed paths crossed the
     /// failed link (via [`ib_verify::affected_destinations`] and the
-    /// engine's `repair_with`), splice them into the last computed tables,
-    /// and distribute just the dirty blocks. Every repair is gated by the
-    /// fabric verifier; any rejection (or an engine without a baseline)
-    /// falls back to the usual full sweep and counts `sm.repair.fallback`.
+    /// engine's `repair_with_graph`), splice them into the last computed
+    /// tables, and distribute just the dirty blocks. Every repair is gated
+    /// by the fabric verifier; any rejection, engine error or missing or
+    /// unusable baseline falls back to the usual full sweep and counts
+    /// `repair.fallback`.
     /// Off by default — the traditional full-recompute path.
     pub repair: bool,
     /// Batch link-down traps arriving within a damping window into one
@@ -303,24 +304,15 @@ impl SubnetManager {
         let path_computation = started.elapsed();
 
         let healed = self.refresh_partition_state(subnet);
-        let dist = match self.served_tables(&tables) {
-            Some(served) => distribution::distribute_opts(
-                subnet,
-                self.sm_node,
-                &served,
-                self.config.smp_mode,
-                &mut self.ledger,
-                self.config.sweep,
-            )?,
-            None => distribution::distribute_opts(
-                subnet,
-                self.sm_node,
-                &tables,
-                self.config.smp_mode,
-                &mut self.ledger,
-                self.config.sweep,
-            )?,
-        };
+        let served = self.served_tables(&tables);
+        let dist = distribution::distribute_opts(
+            subnet,
+            self.sm_node,
+            served.as_ref().unwrap_or(&tables),
+            self.config.smp_mode,
+            &mut self.ledger,
+            self.config.sweep,
+        )?;
 
         if self.config.verify {
             self.verify_installed(subnet, &tables.vls)?;

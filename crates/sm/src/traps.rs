@@ -33,23 +33,6 @@ use crate::sm::SubnetManager;
 /// still terminating against a structurally unreachable switch.
 const MAX_RETRY_PASSES: usize = 16;
 
-/// Whether `tables` came out of a genuine column splice of `prior` — the
-/// precondition for updating the reverse route index per dirty column.
-/// The engine must advertise an incremental repair *and* the output must
-/// cover exactly the baseline's switch set: the engines' internal
-/// full-recompute fallback (taken when `prior` is missing a switch)
-/// rebuilds the live graph's switch set instead, so a key-set mismatch
-/// betrays a full recompute even from an incremental engine.
-fn repair_was_spliced(
-    engine: &dyn ib_routing::RoutingEngine,
-    prior: &ib_routing::RoutingTables,
-    tables: &ib_routing::RoutingTables,
-) -> bool {
-    engine.incremental_repair()
-        && tables.lfts.len() == prior.lfts.len()
-        && tables.lfts.keys().all(|k| prior.lfts.contains_key(k))
-}
-
 /// An unsolicited event notice delivered to the SM.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Trap {
@@ -106,16 +89,20 @@ pub struct ResweepReport {
     pub failed_blocks: Vec<FailedBlock>,
 }
 
-/// A re-sweep that never ran because flap damping absorbed the trap.
-fn absorbed_report() -> ResweepReport {
-    ResweepReport {
-        kind: SweepKind::Light,
-        escalated: false,
-        pruned_lids: Vec::new(),
-        removed_nodes: 0,
-        distribution: DistributionReport::default(),
-        retry_passes: 0,
-        failed_blocks: Vec::new(),
+impl ResweepReport {
+    /// A sweep of `kind` that pruned, removed and sent nothing: the shape
+    /// of an absorbed or deferred trap and of a clean repair no-op, and
+    /// the template every other sweep fills its outcome into.
+    fn empty(kind: SweepKind) -> Self {
+        Self {
+            kind,
+            escalated: false,
+            pruned_lids: Vec::new(),
+            removed_nodes: 0,
+            distribution: DistributionReport::default(),
+            retry_passes: 0,
+            failed_blocks: Vec::new(),
+        }
     }
 }
 
@@ -132,7 +119,7 @@ impl SubnetManager {
         self.ledger.observer().incr("trap.received");
         if self.trap_is_beyond_split(subnet, &trap) {
             self.ledger.observer().incr("sm.trap_absorbed_lost");
-            return Ok(absorbed_report());
+            return Ok(ResweepReport::empty(SweepKind::Light));
         }
         match trap {
             Trap::LinkStateChange { node, port } => {
@@ -168,7 +155,7 @@ impl SubnetManager {
             let observer = self.ledger.observer();
             observer.incr("trap.received");
             observer.incr("sm.trap_absorbed_lost");
-            return Ok(absorbed_report());
+            return Ok(ResweepReport::empty(SweepKind::Light));
         }
         if let Trap::LinkStateChange { node, port } = trap {
             if self.config().quarantine.enabled {
@@ -186,7 +173,7 @@ impl SubnetManager {
                 if absorbed {
                     observer.incr("quarantine.absorbed");
                     self.ledger.observer().incr("trap.received");
-                    return Ok(absorbed_report());
+                    return Ok(ResweepReport::empty(SweepKind::Light));
                 }
                 if !was_held && self.quarantine.is_quarantined(subnet, node, port, now_ns) {
                     observer.incr("quarantine.entered");
@@ -236,10 +223,7 @@ impl SubnetManager {
             self.batch_deadline_ns = Some(now_ns + self.config().coalesce.window_ns);
         }
         self.ledger.observer().incr("repair.deferred");
-        ResweepReport {
-            kind: SweepKind::Deferred,
-            ..absorbed_report()
-        }
+        ResweepReport::empty(SweepKind::Deferred)
     }
 
     /// Runs the batched repair sweep if the coalescing window has closed by
@@ -305,24 +289,12 @@ impl SubnetManager {
         match engine.compute_with(subnet, routing, self.ledger.observer()) {
             Ok(tables) => {
                 self.ledger.observer().incr("resweep.light");
-                let healed = self.refresh_partition_state(subnet);
-                let (distribution, retry_passes, failed_blocks) =
-                    self.distribute_resumably(subnet, &tables, transport)?;
-                self.verify_converged(subnet, &tables.vls, &failed_blocks)?;
-                self.refresh_route_index(subnet, &failed_blocks);
-                if failed_blocks.is_empty() {
-                    self.verify_healed(subnet, &healed)?;
-                }
-                self.last_tables = Some(tables);
-                Ok(ResweepReport {
-                    kind: SweepKind::Light,
-                    escalated: false,
-                    pruned_lids: Vec::new(),
-                    removed_nodes: 0,
-                    distribution,
-                    retry_passes,
-                    failed_blocks,
-                })
+                self.install_full_tables(
+                    subnet,
+                    tables,
+                    transport,
+                    ResweepReport::empty(SweepKind::Light),
+                )
             }
             Err(_) => {
                 span.end();
@@ -398,6 +370,30 @@ impl SubnetManager {
         let engine = self.config().engine.build();
         let routing = self.config().routing;
         let tables = engine.compute_with(subnet, routing, self.ledger.observer())?;
+        self.install_full_tables(
+            subnet,
+            tables,
+            transport,
+            ResweepReport {
+                pruned_lids,
+                removed_nodes,
+                ..ResweepReport::empty(SweepKind::Heavy)
+            },
+        )
+    }
+
+    /// The tail both full sweeps share: refresh the partition state,
+    /// distribute `tables` with resume passes, verify the converged fabric,
+    /// rebuild the reverse route index, prove any heal, and adopt `tables`
+    /// as the next repair baseline. `report` carries the sweep's kind and
+    /// pruning; the distribution outcome is filled in here.
+    fn install_full_tables<C: SmpChannel>(
+        &mut self,
+        subnet: &mut Subnet,
+        tables: ib_routing::RoutingTables,
+        transport: &mut SmpTransport<C>,
+        report: ResweepReport,
+    ) -> IbResult<ResweepReport> {
         let healed = self.refresh_partition_state(subnet);
         let (distribution, retry_passes, failed_blocks) =
             self.distribute_resumably(subnet, &tables, transport)?;
@@ -408,13 +404,10 @@ impl SubnetManager {
         }
         self.last_tables = Some(tables);
         Ok(ResweepReport {
-            kind: SweepKind::Heavy,
-            escalated: false,
-            pruned_lids,
-            removed_nodes,
             distribution,
             retry_passes,
             failed_blocks,
+            ..report
         })
     }
 
@@ -424,10 +417,10 @@ impl SubnetManager {
     /// computed tables, distributes the dirty blocks, and gates the result
     /// behind the fabric verifier — black holes and forwarding loops
     /// always, the CDG deadlock check when `config.verify` asks for it.
-    /// Any obstacle (link actually up, no baseline, engine error, verifier
-    /// rejection) falls back to the full sweep path and counts
-    /// `repair.fallback`; the repair itself emits `repair.*` counters and
-    /// a `resweep.repair` span.
+    /// Any obstacle (link actually up, no baseline, an engine error — an
+    /// unusable baseline included — or a verifier rejection) falls back to
+    /// the full sweep path and counts `repair.fallback`; the repair itself
+    /// emits `repair.*` counters and a `resweep.repair` span.
     pub fn repair_sweep<C: SmpChannel>(
         &mut self,
         subnet: &mut Subnet,
@@ -436,10 +429,46 @@ impl SubnetManager {
         transport: &mut SmpTransport<C>,
     ) -> IbResult<ResweepReport> {
         self.ledger.observer().incr("repair.attempts");
-        // A live link at (node, port) means this trap is an *up* event:
-        // folding a link back in rebalances paths fabric-wide, which is a
-        // recompute, not a repair.
-        if subnet.neighbor(node, port).is_some() {
+        self.repair_faults(subnet, &[(node, port)], "resweep.repair", transport)
+    }
+
+    /// One batched repair sweep over a burst of link-down faults: **one**
+    /// dirty-block distribution and **one** verifier gate for the whole
+    /// burst. Final tables are byte-identical to repairing the traps one
+    /// at a time; the savings are the shared LFT blocks sent once instead
+    /// of per fault and the k-1 elided verifier passes. Emits
+    /// `repair.batched` / `repair.batch_size` and a `resweep.batch` span;
+    /// every obstacle falls back exactly like [`Self::repair_sweep`].
+    pub fn repair_sweep_batch<C: SmpChannel>(
+        &mut self,
+        subnet: &mut Subnet,
+        faults: &[(NodeId, PortNum)],
+        transport: &mut SmpTransport<C>,
+    ) -> IbResult<ResweepReport> {
+        let observer = self.ledger.observer();
+        observer.incr("repair.batched");
+        observer.add("repair.batch_size", faults.len() as u64);
+        self.repair_faults(subnet, faults, "resweep.batch", transport)
+    }
+
+    /// The repair pipeline behind both entry points, a single fault being
+    /// a batch of one: skipped-up check, baseline, deduplicated dirty
+    /// groups, clean no-op, cached graph, fold
+    /// ([`ib_routing::repair_batch`]), partition refresh, resumable
+    /// distribution, scoped gate, index splice or rebuild, heal proof and
+    /// new baseline. `span_name` names the sweep's span.
+    fn repair_faults<C: SmpChannel>(
+        &mut self,
+        subnet: &mut Subnet,
+        faults: &[(NodeId, PortNum)],
+        span_name: &str,
+        transport: &mut SmpTransport<C>,
+    ) -> IbResult<ResweepReport> {
+        // A live link means an up event (or one slipped into a batch
+        // without a trap, e.g. an operator re-cable): folding a link back
+        // in rebalances paths fabric-wide, which is a recompute, not a
+        // repair — and the full sweep also covers every other fault.
+        if faults.iter().any(|&(n, p)| subnet.neighbor(n, p).is_some()) {
             self.ledger.observer().incr("repair.skipped_up");
             return self.light_sweep(subnet, transport);
         }
@@ -447,58 +476,59 @@ impl SubnetManager {
             self.count_repair_fallback("repair.no_baseline");
             return self.light_sweep(subnet, transport);
         };
-        let span = self.ledger.observer().span("resweep.repair");
-        let dirty = self.dirty_destinations(subnet, node, port);
+        let span = self.ledger.observer().span(span_name);
+        // Disjoint per-fault dirty groups off the shared baseline: a column
+        // already claimed by an earlier fault will be re-routed around
+        // *all* downed links in one go, so later faults must not re-route
+        // it again (and serially repaired columns never re-cross a downed
+        // link, which is why baseline-minus-earlier equals the serial
+        // arm's per-step scan).
+        let mut touched = std::collections::HashSet::new();
+        let groups: Vec<Vec<Lid>> = faults
+            .iter()
+            .map(|&(n, p)| {
+                self.dirty_destinations(subnet, n, p)
+                    .into_iter()
+                    .filter(|&lid| touched.insert(lid))
+                    .collect()
+            })
+            .collect();
         self.ledger
             .observer()
-            .add("repair.dirty_dests", dirty.len() as u64);
-        if dirty.is_empty() {
-            // No installed path crossed the link: the tables are already
-            // correct and there is nothing to distribute.
+            .add("repair.dirty_dests", touched.len() as u64);
+        if touched.is_empty() {
+            // No installed path crossed any faulted link: the tables are
+            // already correct and there is nothing to distribute.
             self.ledger.observer().incr("repair.clean_noop");
-            return Ok(ResweepReport {
-                kind: SweepKind::Repair,
-                escalated: false,
-                pruned_lids: Vec::new(),
-                removed_nodes: 0,
-                distribution: DistributionReport::default(),
-                retry_passes: 0,
-                failed_blocks: Vec::new(),
-            });
+            return Ok(ResweepReport::empty(SweepKind::Repair));
         }
         let engine = self.config().engine.build();
         let routing = self.config().routing;
-        let graph = match self.acquire_repair_graph(subnet) {
-            Ok(g) => g,
-            Err(_) => {
-                // The graph itself is unbuildable (e.g. an HCA still
-                // carries a LID over its downed uplink): same escalation
-                // as an engine error, which is where this Err used to
-                // surface when every engine built its own graph.
-                span.end();
-                self.count_repair_fallback("repair.engine_error");
-                return self.light_sweep(subnet, transport);
+        let result = match self.acquire_repair_graph(subnet) {
+            Ok(graph) => {
+                let result = ib_routing::repair_batch(
+                    engine.as_ref(),
+                    subnet,
+                    &graph,
+                    routing,
+                    &prior,
+                    &groups,
+                    self.ledger.observer(),
+                );
+                self.cached_graph = Some((subnet.topology_epoch(), graph));
+                result
             }
+            Err(e) => Err(e),
         };
-        let result = engine.repair_with_graph(
-            subnet,
-            &graph,
-            routing,
-            &prior,
-            &dirty,
-            self.ledger.observer(),
-        );
-        self.cached_graph = Some((subnet.topology_epoch(), graph));
-        let tables = match result {
-            Ok(tables) => tables,
-            Err(_) => {
-                // E.g. a destination became unreachable: the damage
-                // exceeds what a column rewrite can absorb (pruning is
-                // needed). The full path escalates as usual.
-                span.end();
-                self.count_repair_fallback("repair.engine_error");
-                return self.light_sweep(subnet, transport);
-            }
+        let Ok(tables) = result else {
+            // The graph is unbuildable (e.g. an HCA still carries a LID
+            // over its downed uplink), a destination became unreachable,
+            // or the baseline cannot seed a splice: the damage exceeds
+            // what a column rewrite can absorb, so the full path
+            // escalates as usual.
+            span.end();
+            self.count_repair_fallback("repair.engine_error");
+            return self.light_sweep(subnet, transport);
         };
         let healed = self.refresh_partition_state(subnet);
         let (distribution, retry_passes, failed_blocks) =
@@ -508,7 +538,6 @@ impl SubnetManager {
                 .with_deadlock(self.config().verify)
                 .with_viewpoint(self.sm_node)
                 .verify_observed(subnet, &tables.vls, self.ledger.observer())?;
-            let touched: std::collections::HashSet<Lid> = dirty.iter().copied().collect();
             if self.repair_gate_rejects(&report, &touched) {
                 // The splice broke an invariant on a column it touched (or
                 // a fabric-global one). The full sweep recomputes from
@@ -518,19 +547,19 @@ impl SubnetManager {
                 return self.light_sweep(subnet, transport);
             }
             self.count_repair_success();
-            if repair_was_spliced(engine.as_ref(), &prior, &tables) && self.lost_nodes.is_empty() {
+            if self.lost_nodes.is_empty() {
+                // Every `Ok` repair is a column splice: only the dirty
+                // columns moved.
                 if let Some(idx) = self.route_index.as_mut() {
-                    for &lid in &dirty {
+                    for &lid in groups.iter().flatten() {
                         idx.apply_column_update(lid, &prior, &tables);
                     }
                 }
             } else {
-                // A full-recompute "repair" (default-fallback engines, or
-                // an incremental engine that lost its baseline) may have
-                // rewritten any column — and a repair on a split fabric
-                // rewrote columns on switches the SM no longer serves:
-                // per-column splicing cannot track either, so rebuild the
-                // index from what is now installed.
+                // A repair on a split fabric rewrote columns on switches
+                // the SM no longer serves: per-column splicing cannot
+                // track that, so rebuild the index from what is now
+                // installed.
                 self.rebuild_route_index(subnet);
             }
             self.verify_healed(subnet, &healed)?;
@@ -543,149 +572,10 @@ impl SubnetManager {
         }
         self.last_tables = Some(tables);
         Ok(ResweepReport {
-            kind: SweepKind::Repair,
-            escalated: false,
-            pruned_lids: Vec::new(),
-            removed_nodes: 0,
             distribution,
             retry_passes,
             failed_blocks,
-        })
-    }
-
-    /// One batched repair sweep over a burst of link-down faults: unions
-    /// the per-fault dirty destination sets (earlier faults' columns
-    /// subtracted — each group is exactly what the corresponding serial
-    /// repair would have re-routed, since every faulted link is already
-    /// down), folds them through the engine's `repair_batch_with`, then
-    /// runs **one** dirty-block distribution and **one** verifier gate for
-    /// the whole burst. Final tables are byte-identical to repairing the
-    /// traps one at a time; the savings are the shared LFT blocks sent
-    /// once instead of per fault and the k-1 elided verifier passes.
-    /// Emits `repair.batched` / `repair.batch_size` and a `resweep.batch`
-    /// span; every obstacle falls back exactly like [`Self::repair_sweep`].
-    pub fn repair_sweep_batch<C: SmpChannel>(
-        &mut self,
-        subnet: &mut Subnet,
-        faults: &[(NodeId, PortNum)],
-        transport: &mut SmpTransport<C>,
-    ) -> IbResult<ResweepReport> {
-        self.ledger.observer().incr("repair.batched");
-        self.ledger
-            .observer()
-            .add("repair.batch_size", faults.len() as u64);
-        // A live link in the batch means an up event slipped in without a
-        // trap (e.g. an operator re-cable): fold-in is a rebalance, and the
-        // full sweep also covers every other fault in the batch.
-        if faults.iter().any(|&(n, p)| subnet.neighbor(n, p).is_some()) {
-            self.ledger.observer().incr("repair.skipped_up");
-            return self.light_sweep(subnet, transport);
-        }
-        let Some(prior) = self.last_tables.clone() else {
-            self.count_repair_fallback("repair.no_baseline");
-            return self.light_sweep(subnet, transport);
-        };
-        let span = self.ledger.observer().span("resweep.batch");
-        // Disjoint per-fault dirty groups off the shared baseline: a column
-        // already claimed by an earlier fault will be re-routed around
-        // *all* downed links in one go, so later faults must not re-route
-        // it again (and serially repaired columns never re-cross a downed
-        // link, which is why baseline-minus-earlier equals the serial
-        // arm's per-step scan).
-        let mut seen = std::collections::HashSet::new();
-        let groups: Vec<Vec<Lid>> = faults
-            .iter()
-            .map(|&(n, p)| {
-                self.dirty_destinations(subnet, n, p)
-                    .into_iter()
-                    .filter(|&lid| seen.insert(lid))
-                    .collect()
-            })
-            .collect();
-        let total: usize = groups.iter().map(Vec::len).sum();
-        self.ledger
-            .observer()
-            .add("repair.dirty_dests", total as u64);
-        if total == 0 {
-            self.ledger.observer().incr("repair.clean_noop");
-            return Ok(ResweepReport {
-                kind: SweepKind::Repair,
-                escalated: false,
-                pruned_lids: Vec::new(),
-                removed_nodes: 0,
-                distribution: DistributionReport::default(),
-                retry_passes: 0,
-                failed_blocks: Vec::new(),
-            });
-        }
-        let engine = self.config().engine.build();
-        let routing = self.config().routing;
-        let graph = match self.acquire_repair_graph(subnet) {
-            Ok(g) => g,
-            Err(_) => {
-                span.end();
-                self.count_repair_fallback("repair.engine_error");
-                return self.light_sweep(subnet, transport);
-            }
-        };
-        let result = engine.repair_batch_with_graph(
-            subnet,
-            &graph,
-            routing,
-            &prior,
-            &groups,
-            self.ledger.observer(),
-        );
-        self.cached_graph = Some((subnet.topology_epoch(), graph));
-        let tables = match result {
-            Ok(tables) => tables,
-            Err(_) => {
-                span.end();
-                self.count_repair_fallback("repair.engine_error");
-                return self.light_sweep(subnet, transport);
-            }
-        };
-        let healed = self.refresh_partition_state(subnet);
-        let (distribution, retry_passes, failed_blocks) =
-            self.distribute_resumably(subnet, &tables, transport)?;
-        if failed_blocks.is_empty() {
-            let report = ib_verify::FabricVerifier::new()
-                .with_deadlock(self.config().verify)
-                .with_viewpoint(self.sm_node)
-                .verify_observed(subnet, &tables.vls, self.ledger.observer())?;
-            let touched: std::collections::HashSet<Lid> =
-                groups.iter().flatten().copied().collect();
-            if self.repair_gate_rejects(&report, &touched) {
-                span.end();
-                self.count_repair_fallback("repair.verify_rejected");
-                return self.light_sweep(subnet, transport);
-            }
-            self.count_repair_success();
-            if repair_was_spliced(engine.as_ref(), &prior, &tables) && self.lost_nodes.is_empty() {
-                if let Some(idx) = self.route_index.as_mut() {
-                    for group in &groups {
-                        for &lid in group {
-                            idx.apply_column_update(lid, &prior, &tables);
-                        }
-                    }
-                }
-            } else {
-                self.rebuild_route_index(subnet);
-            }
-            self.verify_healed(subnet, &healed)?;
-        } else {
-            self.ledger.observer().incr("repair.unconverged");
-            self.route_index = None;
-        }
-        self.last_tables = Some(tables);
-        Ok(ResweepReport {
-            kind: SweepKind::Repair,
-            escalated: false,
-            pruned_lids: Vec::new(),
-            removed_nodes: 0,
-            distribution,
-            retry_passes,
-            failed_blocks,
+            ..ResweepReport::empty(SweepKind::Repair)
         })
     }
 
@@ -1181,6 +1071,37 @@ mod tests {
         assert_eq!(snap.counter("repair.no_baseline"), 1);
         assert_eq!(snap.counter("repair.fallback"), 1);
         assert_eq!(snap.counter("repair.fallback.minhop"), 1);
+    }
+
+    #[test]
+    fn unusable_baseline_is_a_counted_engine_error() {
+        // A baseline missing one switch's LFT cannot seed a column splice:
+        // the engine refuses it, and the SM answers with a counted light
+        // sweep rather than trusting a silent full recompute.
+        let mut t = two_level(3, 2, 2);
+        let mut sm = SubnetManager::new(
+            t.hosts[0],
+            SmConfig {
+                repair: true,
+                ..SmConfig::default()
+            },
+        );
+        sm.set_observer(ib_observe::Observer::metrics());
+        sm.bring_up(&mut t.subnet).unwrap();
+        let spine1 = t.switch_levels[1][1];
+        sm.last_tables.as_mut().unwrap().lfts.remove(&spine1);
+        let trap = down_first_uplink(&mut t);
+        let mut transport = SmpTransport::perfect(sm.sm_node);
+        let report = sm.handle_trap(&mut t.subnet, trap, &mut transport).unwrap();
+        assert_eq!(report.kind, SweepKind::Light);
+        assert!(report.failed_blocks.is_empty());
+        assert_all_pairs_connected(&t, &[]);
+        assert!(sm.verify_route_index(&t.subnet).is_empty());
+        let snap = sm.observer().snapshot().unwrap();
+        assert_eq!(snap.counter("repair.engine_error"), 1);
+        assert_eq!(snap.counter("repair.fallback"), 1);
+        assert_eq!(snap.counter("repair.fallback.minhop"), 1);
+        assert_eq!(snap.counter("repair.success"), 0);
     }
 
     #[test]

@@ -323,10 +323,12 @@ mod tests {
         let dirty = affected_destinations(&t.subnet, node, port);
         assert!(!dirty.is_empty());
         t.subnet.set_link_down(node, port).unwrap();
+        let graph = ib_routing::SwitchGraph::build(&t.subnet).unwrap();
         let after = EngineKind::MinHop
             .build()
-            .repair_with(
+            .repair_with_graph(
                 &t.subnet,
+                &graph,
                 ib_routing::RoutingOptions::default(),
                 &before,
                 &dirty,

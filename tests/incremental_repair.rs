@@ -11,7 +11,7 @@
 
 use ib_mad::SmpTransport;
 use ib_observe::Observer;
-use ib_routing::{EngineKind, RoutingOptions};
+use ib_routing::{EngineKind, RoutingOptions, SwitchGraph};
 use ib_sm::{SmConfig, SubnetManager, SweepKind, Trap};
 use ib_subnet::topology::fattree::{paper_324, paper_648, two_level};
 use ib_subnet::topology::torus::torus_2d;
@@ -239,15 +239,107 @@ fn every_engine_survives_repair_schedules_deterministically() {
     }
 }
 
-/// Every routing engine in the matrix now repairs natively — none rides
-/// the default full-recompute shim.
+/// Each engine on a topology it supports: the paper's 324-node fat tree
+/// for the tree engines, the wrapped 4x4 torus for the VL-layering ones.
+fn engine_matrix() -> [(EngineKind, fn() -> BuiltTopology); 5] {
+    let torus_4x4: fn() -> BuiltTopology = || torus_2d(4, 4, 1, true);
+    [
+        (EngineKind::FatTree, paper_324),
+        (EngineKind::MinHop, paper_324),
+        (EngineKind::UpDown, paper_324),
+        (EngineKind::Dfsssp, torus_4x4),
+        (EngineKind::Lash, torus_4x4),
+    ]
+}
+
+/// No engine hides a full recompute behind its repair: a baseline missing
+/// one switch's LFT cannot seed a column splice, so `repair_with_graph`
+/// returns `Err` — and runs no routing phase, so the observer stays empty.
 #[test]
-fn every_engine_reports_native_incremental_repair() {
-    for kind in EngineKind::all() {
-        assert!(
-            kind.build().incremental_repair(),
-            "{kind:?} must implement native incremental repair"
+fn every_engine_refuses_an_unusable_baseline() {
+    for (engine, build) in engine_matrix() {
+        let (t, _sm) = bring_up(
+            build(),
+            SmConfig {
+                engine,
+                ..SmConfig::default()
+            },
         );
+        let e = engine.build();
+        let graph = SwitchGraph::build(&t.subnet).expect("graph");
+        let mut prior = e.compute(&t.subnet).expect("compute");
+        prior.lfts.remove(&graph.node_id(0));
+        let observer = Observer::metrics();
+        let result = e.repair_with_graph(
+            &t.subnet,
+            &graph,
+            RoutingOptions::default(),
+            &prior,
+            &t.subnet.lids(),
+            &observer,
+        );
+        assert!(result.is_err(), "{engine:?} repaired a partial baseline");
+        let snap = observer.snapshot().expect("metrics on");
+        assert!(snap.spans.is_empty(), "{engine:?}: {:?}", snap.spans);
+        assert!(snap.counters.is_empty(), "{engine:?}: {:?}", snap.counters);
+    }
+}
+
+/// A single fault is a batch of one: `repair_sweep` and
+/// `repair_sweep_batch(&[fault])` on twin fabrics install byte-identical
+/// LFTs with the same SMPs and verifier passes, keep the reverse route
+/// index equal to the scan, and each emits only its own span.
+#[test]
+fn single_fault_repair_equals_a_batch_of_one() {
+    for (engine, build) in engine_matrix() {
+        let run = |batched: bool| {
+            let (mut t, mut sm) = bring_up(
+                build(),
+                SmConfig {
+                    engine,
+                    repair: true,
+                    ..SmConfig::default()
+                },
+            );
+            let (node, port, _) = safe_to_down(&t.subnet, &core_links(&t.subnet))[0];
+            t.subnet.set_link_down(node, port).expect("link down");
+            let mut transport = SmpTransport::perfect(sm.sm_node);
+            let report = if batched {
+                sm.repair_sweep_batch(&mut t.subnet, &[(node, port)], &mut transport)
+            } else {
+                sm.repair_sweep(&mut t.subnet, node, port, &mut transport)
+            }
+            .expect("repair");
+            assert_eq!(report.kind, SweepKind::Repair, "{engine:?}");
+            assert!(
+                sm.verify_route_index(&t.subnet).is_empty(),
+                "{engine:?} batched={batched}: index agrees with the scan"
+            );
+            let snap = sm.observer().snapshot().expect("metrics on");
+            let (own, other) = if batched {
+                ("resweep.batch", "resweep.repair")
+            } else {
+                ("resweep.repair", "resweep.batch")
+            };
+            assert_eq!(snap.spans_named(own).len(), 1, "{engine:?}: {own}");
+            assert!(snap.spans_named(other).is_empty(), "{engine:?}: {other}");
+            assert_eq!(snap.counter("repair.fallback"), 0, "{engine:?}");
+            let lfts: Vec<(NodeId, ib_subnet::Lft)> = t
+                .subnet
+                .physical_switches()
+                .map(|n| (n.id, n.lft().expect("installed LFT").clone()))
+                .collect();
+            (
+                lfts,
+                report.distribution.lft_smps,
+                snap.counter("verify.runs"),
+            )
+        };
+        let (single_lfts, single_smps, single_runs) = run(false);
+        let (batch_lfts, batch_smps, batch_runs) = run(true);
+        assert_eq!(single_lfts, batch_lfts, "{engine:?}: installed LFTs");
+        assert_eq!(single_smps, batch_smps, "{engine:?}: lft_smps");
+        assert_eq!(single_runs, batch_runs, "{engine:?}: verify.runs");
     }
 }
 
