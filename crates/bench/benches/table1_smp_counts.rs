@@ -7,9 +7,9 @@ use std::hint::black_box;
 use ib_bench::manage;
 use ib_core::cost::Table1Row;
 use ib_core::migration::{swap_on_fabric, MigrationOptions};
-use ib_mad::SmpLedger;
+use ib_mad::{SmpLedger, SmpTransport};
 use ib_routing::EngineKind;
-use ib_sm::{distribution, SmpMode};
+use ib_sm::{distribution, SmpMode, SweepOptions};
 use ib_subnet::topology::fattree;
 use ib_types::Lid;
 
@@ -39,14 +39,19 @@ fn table1(c: &mut Criterion) {
         b.iter_batched(
             || (fabric.subnet.clone(), SmpLedger::new()),
             |(mut subnet, mut ledger)| {
-                let report = distribution::distribute(
+                let (acct, failed) = distribution::push_blocks(
                     &mut subnet,
                     fabric.hosts[0],
                     &tables,
                     SmpMode::Directed,
+                    &mut SmpTransport::perfect(fabric.hosts[0]),
                     &mut ledger,
+                    None,
+                    SweepOptions::default(),
                 )
                 .expect("distribute");
+                assert!(failed.is_empty());
+                let report = acct.report();
                 assert_eq!(report.lft_smps, 216);
                 black_box(report.lft_smps)
             },
@@ -57,12 +62,15 @@ fn table1(c: &mut Criterion) {
     // The vSwitch swap on the same fabric: at most 2 SMPs per switch.
     let mut routed = fabric.subnet.clone();
     let mut ledger = SmpLedger::new();
-    distribution::distribute(
+    distribution::push_blocks(
         &mut routed,
         fabric.hosts[0],
         &tables,
         SmpMode::Directed,
+        &mut SmpTransport::perfect(fabric.hosts[0]),
         &mut ledger,
+        None,
+        SweepOptions::default(),
     )
     .expect("distribute");
     let a = routed.node(fabric.hosts[1]).ports[1].lid.unwrap();
@@ -71,13 +79,14 @@ fn table1(c: &mut Criterion) {
         b.iter_batched(
             || (routed.clone(), SmpLedger::new()),
             |(mut subnet, mut ledger)| {
-                let stats = swap_on_fabric(
+                let (stats, _) = swap_on_fabric(
                     &mut subnet,
                     fabric.hosts[0],
                     black_box(a),
                     black_box(b_lid),
                     &MigrationOptions::default(),
                     None,
+                    &mut SmpTransport::perfect(fabric.hosts[0]),
                     &mut ledger,
                 )
                 .expect("swap");

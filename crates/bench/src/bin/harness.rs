@@ -40,7 +40,7 @@ use ib_cloud::LiveMigrationWorkflow;
 use ib_core::capacity::{dynamic_lids_consumed, prepopulated_lids_consumed, prepopulated_limits};
 use ib_core::cost::{Table1Row, PAPER_TABLE1};
 use ib_core::{DataCenter, DataCenterConfig, MigrationOptions, VirtArch};
-use ib_mad::CostModel;
+use ib_mad::{CostModel, SmpTransport};
 use ib_observe::Observer;
 use ib_routing::EngineKind;
 use ib_routing::RoutingOptions;
@@ -424,8 +424,9 @@ fn emulation() {
         .expect("testbed");
         let vm = dc.create_vm("centos7", 0).expect("create");
         let started = Instant::now();
+        let mut transport = SmpTransport::perfect(dc.sm.sm_node);
         let trace = LiveMigrationWorkflow::default()
-            .execute(&mut dc, vm, 3)
+            .execute(&mut dc, vm, 3, &mut transport)
             .expect("workflow");
         println!(
             "  {:<22} downtime {} | reconfig share {:.4}% | {} SMPs (n'={}, m'={}) | addresses preserved: {} | wall {:?}",
@@ -669,7 +670,6 @@ fn balance() {
 /// whose accumulated snapshot lands in `BENCH_metrics.json` — after the
 /// counters are asserted to reconcile with the per-trial SMP ledgers.
 fn faults(json: Option<&Path>, metrics: Option<&Path>) {
-    use ib_mad::SmpTransport;
     use ib_subnet::topology::fattree::two_level;
 
     const TRIALS: u64 = 20;

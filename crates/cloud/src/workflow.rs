@@ -10,9 +10,12 @@
 //!
 //! [`LiveMigrationWorkflow::execute`] runs exactly those steps against a
 //! [`DataCenter`], pulls the reconfiguration SMPs out of the SM's ledger,
-//! and replays them through the latency model to produce a timeline.
+//! and replays them through the latency model to produce a timeline. Step
+//! 3 is the transactional reconfiguration over a caller-supplied
+//! transport: when the network side rolls back, step 4 re-attaches the VF
+//! at the source instead.
 
-use ib_core::{DataCenter, MigrationReport, TxMigrationReport, VmId};
+use ib_core::{DataCenter, MigrationReport, VmId};
 use ib_mad::fault::{SmpChannel, SmpTransport};
 use ib_sim::downtime::{DowntimeModel, MigrationTimeline};
 use ib_sim::SimTime;
@@ -30,13 +33,15 @@ pub struct WorkflowStep {
 /// The complete trace of one orchestrated migration.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WorkflowTrace {
-    /// The four steps with durations.
+    /// The four steps with durations; step 4 names the compensation when
+    /// rolled back.
     pub steps: Vec<WorkflowStep>,
-    /// The network-side migration report (SMP counts, `n'`, `m'`).
+    /// The network-side migration report (SMP counts, `n'`, `m'`, retries;
+    /// `committed` is `false` when the VM stayed at the source).
     pub report: MigrationReport,
-    /// The composed downtime timeline.
+    /// The composed downtime timeline (includes retry/timeout SMPs).
     pub timeline: MigrationTimeline,
-    /// VM addresses preserved across the move?
+    /// VM addresses preserved across the move (or the rollback)?
     pub addresses_preserved: bool,
 }
 
@@ -48,8 +53,20 @@ pub struct LiveMigrationWorkflow {
 }
 
 impl LiveMigrationWorkflow {
-    /// Runs the four-step workflow, migrating `vm` to hypervisor `dest`.
-    pub fn execute(&self, dc: &mut DataCenter, vm: VmId, dest: usize) -> IbResult<WorkflowTrace> {
+    /// Runs the four-step workflow, migrating `vm` to hypervisor `dest`
+    /// with every SMP sent through `transport` (a caller with no fault
+    /// model passes [`SmpTransport::perfect`]). When the network side
+    /// rolls back, step 4 becomes **re-attach the VF at the source** — the
+    /// orchestrator's compensation — instead of attaching at the
+    /// destination. Either way the VM ends up attached somewhere with its
+    /// addresses intact; the report's `committed` says where.
+    pub fn execute<C: SmpChannel>(
+        &self,
+        dc: &mut DataCenter,
+        vm: VmId,
+        dest: usize,
+        transport: &mut SmpTransport<C>,
+    ) -> IbResult<WorkflowTrace> {
         let (lid_before, vguid_before): (Lid, _) = dc
             .vm(vm)
             .map(|r| (r.lid, r.vguid))
@@ -57,69 +74,6 @@ impl LiveMigrationWorkflow {
 
         // Steps 1+2 happen on the orchestration plane; step 3 is the SM
         // reconfiguration we actually execute; step 4 re-attaches.
-        let report = dc.migrate_vm(vm, dest)?;
-
-        // Pull the reconfiguration SMPs from the ledger phase the
-        // migration recorded, and replay them for the timeline.
-        let phase = format!("migrate-{vm}");
-        let smps: Vec<(usize, bool)> = dc
-            .sm
-            .ledger
-            .phase_records(&phase)
-            .iter()
-            .map(|r| (r.hops, r.directed))
-            .collect();
-        let timeline = MigrationTimeline::compose(&self.model, &smps);
-
-        let rec = dc.vm(vm).ok_or_else(|| {
-            ib_types::IbError::Virtualization(format!("{vm} vanished during migration"))
-        })?;
-        let addresses_preserved = rec.lid == lid_before && rec.vguid == vguid_before;
-
-        let steps = vec![
-            WorkflowStep {
-                name: "1-detach-vf-and-start-migration".into(),
-                duration: self.model.detach + self.model.stop_and_copy,
-            },
-            WorkflowStep {
-                name: "2-signal-opensm".into(),
-                duration: SimTime::from_us(50.0),
-            },
-            WorkflowStep {
-                name: "3-opensm-reconfigures".into(),
-                duration: timeline.reconfiguration,
-            },
-            WorkflowStep {
-                name: "4-attach-vf-with-guid".into(),
-                duration: self.model.attach,
-            },
-        ];
-        Ok(WorkflowTrace {
-            steps,
-            report,
-            timeline,
-            addresses_preserved,
-        })
-    }
-
-    /// The fault-aware §VII-B workflow: step 3 runs the *transactional*
-    /// reconfiguration over `transport`, and when the network side rolls
-    /// back, step 4 becomes **re-attach the VF at the source** — the
-    /// orchestrator's compensation — instead of attaching at the
-    /// destination. Either way the VM ends up attached somewhere with its
-    /// addresses intact; `ResilientWorkflowTrace::committed` says where.
-    pub fn execute_resilient<C: SmpChannel>(
-        &self,
-        dc: &mut DataCenter,
-        vm: VmId,
-        dest: usize,
-        transport: &mut SmpTransport<C>,
-    ) -> IbResult<ResilientWorkflowTrace> {
-        let (lid_before, vguid_before): (Lid, _) = dc
-            .vm(vm)
-            .map(|r| (r.lid, r.vguid))
-            .ok_or_else(|| ib_types::IbError::Virtualization(format!("{vm} does not exist")))?;
-
         let report = dc.migrate_vm_resilient(vm, dest, transport)?;
 
         // Replay every SMP of the phase — including dropped and timed-out
@@ -141,15 +95,9 @@ impl LiveMigrationWorkflow {
         let addresses_preserved = rec.lid == lid_before && rec.vguid == vguid_before;
 
         let final_step = if report.committed {
-            WorkflowStep {
-                name: "4-attach-vf-with-guid".into(),
-                duration: self.model.attach,
-            }
+            "4-attach-vf-with-guid"
         } else {
-            WorkflowStep {
-                name: "4-reattach-vf-at-source".into(),
-                duration: self.model.attach,
-            }
+            "4-reattach-vf-at-source"
         };
         let steps = vec![
             WorkflowStep {
@@ -161,36 +109,21 @@ impl LiveMigrationWorkflow {
                 duration: SimTime::from_us(50.0),
             },
             WorkflowStep {
-                name: "3-opensm-reconfigures-transactionally".into(),
+                name: "3-opensm-reconfigures".into(),
                 duration: timeline.reconfiguration,
             },
-            final_step,
+            WorkflowStep {
+                name: final_step.into(),
+                duration: self.model.attach,
+            },
         ];
-        Ok(ResilientWorkflowTrace {
-            committed: report.committed,
+        Ok(WorkflowTrace {
             steps,
             report,
             timeline,
             addresses_preserved,
         })
     }
-}
-
-/// The trace of one fault-aware orchestrated migration.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ResilientWorkflowTrace {
-    /// Whether the migration committed (`false`: compensated, VM stayed at
-    /// the source).
-    pub committed: bool,
-    /// The four steps with durations; step 4 names the compensation when
-    /// rolled back.
-    pub steps: Vec<WorkflowStep>,
-    /// The transactional migration report.
-    pub report: TxMigrationReport,
-    /// The composed downtime timeline (includes retry/timeout SMPs).
-    pub timeline: MigrationTimeline,
-    /// VM addresses preserved across the move (or the rollback)?
-    pub addresses_preserved: bool,
 }
 
 #[cfg(test)]
@@ -217,7 +150,8 @@ mod tests {
             let mut dc = dc(arch);
             let vm = dc.create_vm("vm", 0).unwrap();
             let wf = LiveMigrationWorkflow::default();
-            let trace = wf.execute(&mut dc, vm, 4).unwrap();
+            let mut transport = SmpTransport::perfect(dc.sm.sm_node);
+            let trace = wf.execute(&mut dc, vm, 4, &mut transport).unwrap();
             assert!(trace.addresses_preserved, "{arch}");
             assert_eq!(trace.steps.len(), 4);
             assert!(trace.timeline.downtime > SimTime::ZERO);
@@ -229,8 +163,9 @@ mod tests {
     fn reconfiguration_step_is_tiny_share_of_downtime() {
         let mut dc = dc(VirtArch::VSwitchPrepopulated);
         let vm = dc.create_vm("vm", 0).unwrap();
+        let mut transport = SmpTransport::perfect(dc.sm.sm_node);
         let trace = LiveMigrationWorkflow::default()
-            .execute(&mut dc, vm, 5)
+            .execute(&mut dc, vm, 5, &mut transport)
             .unwrap();
         // The whole point: with PCt eliminated and a handful of SMPs, the
         // network reconfiguration is noise next to detach/attach.
@@ -238,29 +173,29 @@ mod tests {
     }
 
     #[test]
-    fn resilient_workflow_commits_when_fault_free() {
+    fn workflow_commits_when_fault_free() {
         let mut dc = dc(VirtArch::VSwitchPrepopulated);
         let vm = dc.create_vm("vm", 0).unwrap();
         let mut transport = SmpTransport::perfect(dc.sm.sm_node);
         let trace = LiveMigrationWorkflow::default()
-            .execute_resilient(&mut dc, vm, 4, &mut transport)
+            .execute(&mut dc, vm, 4, &mut transport)
             .unwrap();
-        assert!(trace.committed);
+        assert!(trace.report.committed);
         assert!(trace.addresses_preserved);
         assert_eq!(trace.steps[3].name, "4-attach-vf-with-guid");
         dc.verify_connectivity().unwrap();
     }
 
     #[test]
-    fn resilient_workflow_compensates_on_persistent_failure() {
+    fn workflow_compensates_on_persistent_failure() {
         let mut dc = dc(VirtArch::VSwitchDynamic);
         let vm = dc.create_vm("vm", 0).unwrap();
         let mut transport =
             SmpTransport::with_channel(dc.sm.sm_node, ib_mad::LossyChannel::black_hole());
         let trace = LiveMigrationWorkflow::default()
-            .execute_resilient(&mut dc, vm, 4, &mut transport)
+            .execute(&mut dc, vm, 4, &mut transport)
             .unwrap();
-        assert!(!trace.committed);
+        assert!(!trace.report.committed);
         assert!(
             trace.addresses_preserved,
             "rollback keeps the addresses too"
@@ -274,6 +209,9 @@ mod tests {
     fn workflow_fails_cleanly_on_bad_vm() {
         let mut dc = dc(VirtArch::VSwitchPrepopulated);
         let wf = LiveMigrationWorkflow::default();
-        assert!(wf.execute(&mut dc, ib_core::VmId(99), 1).is_err());
+        let mut transport = SmpTransport::perfect(dc.sm.sm_node);
+        assert!(wf
+            .execute(&mut dc, ib_core::VmId(99), 1, &mut transport)
+            .is_err());
     }
 }

@@ -5,11 +5,12 @@
 //! anything is what enables concurrent-migration admission (disjoint
 //! affected sets can reconfigure in parallel) and the intra-leaf shortcut.
 //!
-//! The predicates mirror [`crate::migration::swap_on_fabric`] and
-//! [`crate::migration::copy_on_fabric`] *exactly*, error cases included: a
-//! switch without an LFT (or, for a copy, without a row for the PF LID)
-//! makes the fabric op fail mid-pass, so the prediction fails the same way
-//! instead of silently reporting the switch as unaffected.
+//! The predicates apply the same per-switch test as
+//! [`crate::migration::swap_on_fabric`] and
+//! [`crate::migration::copy_on_fabric`], error cases included: a switch
+//! without an LFT (or, for a copy, without a row for the PF LID) makes the
+//! fabric op fail mid-pass, so the prediction fails the same way instead
+//! of silently reporting the switch as unaffected.
 
 use ib_subnet::{NodeId, Subnet};
 use ib_types::{IbError, IbResult, Lid};
@@ -111,13 +112,15 @@ mod tests {
         let a = host_lid(&t, 1);
         let b = host_lid(&t, 4);
         let predicted = affected_by_swap(&t.subnet, a, b).unwrap();
-        let stats = crate::migration::swap_on_fabric(
+        let mut transport = ib_mad::SmpTransport::perfect(sm.sm_node);
+        let (stats, _) = crate::migration::swap_on_fabric(
             &mut t.subnet,
             sm.sm_node,
             a,
             b,
             &crate::migration::MigrationOptions::default(),
             None,
+            &mut transport,
             &mut sm.ledger,
         )
         .unwrap();
@@ -130,13 +133,15 @@ mod tests {
         let pf = host_lid(&t, 4);
         let vm = Lid::from_raw(40);
         let predicted = affected_by_copy(&t.subnet, pf, vm).unwrap();
-        let stats = crate::migration::copy_on_fabric(
+        let mut transport = ib_mad::SmpTransport::perfect(sm.sm_node);
+        let (stats, _) = crate::migration::copy_on_fabric(
             &mut t.subnet,
             sm.sm_node,
             pf,
             vm,
             &crate::migration::MigrationOptions::default(),
             None,
+            &mut transport,
             &mut sm.ledger,
         )
         .unwrap();
@@ -146,17 +151,17 @@ mod tests {
     }
 
     /// Property: the predictions name *exactly* the switches whose LFTs the
-    /// transactional ops mutate — same set, not just same count.
+    /// ops mutate — same set, not just same count.
     #[test]
     fn predictions_pin_the_exact_mutated_switch_set() {
-        // Swap, via the transactional variant.
+        // Swap.
         let (mut t, mut sm) = fabric();
         let a = host_lid(&t, 0);
         let b = host_lid(&t, 5);
         let predicted = affected_by_swap(&t.subnet, a, b).unwrap();
         let before = snapshot(&t.subnet);
         let mut transport = ib_mad::SmpTransport::perfect(sm.sm_node);
-        crate::migration::swap_on_fabric_tx(
+        crate::migration::swap_on_fabric(
             &mut t.subnet,
             sm.sm_node,
             a,
@@ -169,14 +174,14 @@ mod tests {
         .unwrap();
         assert_eq!(predicted, mutated_since(&t.subnet, &before));
 
-        // Copy, via the transactional variant.
+        // Copy.
         let (mut t, mut sm) = fabric();
         let pf = host_lid(&t, 2);
         let vm = Lid::from_raw(41);
         let predicted = affected_by_copy(&t.subnet, pf, vm).unwrap();
         let before = snapshot(&t.subnet);
         let mut transport = ib_mad::SmpTransport::perfect(sm.sm_node);
-        crate::migration::copy_on_fabric_tx(
+        crate::migration::copy_on_fabric(
             &mut t.subnet,
             sm.sm_node,
             pf,
@@ -209,6 +214,7 @@ mod tests {
         }
         t.subnet.lft_mut(switches[0]).unwrap().clear(pf);
         assert!(affected_by_copy(&t.subnet, pf, vm).is_err());
+        let mut transport = ib_mad::SmpTransport::perfect(sm.sm_node);
         assert!(crate::migration::copy_on_fabric(
             &mut t.subnet,
             sm.sm_node,
@@ -216,6 +222,7 @@ mod tests {
             vm,
             &crate::migration::MigrationOptions::default(),
             None,
+            &mut transport,
             &mut sm.ledger,
         )
         .is_err());

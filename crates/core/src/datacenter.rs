@@ -14,8 +14,7 @@ use ib_verify::{FabricVerifier, LftSnapshot};
 use rustc_hash::FxHashMap;
 
 use crate::migration::{
-    copy_on_fabric, copy_on_fabric_tx, swap_on_fabric, swap_on_fabric_tx, LftUpdateStats,
-    MigrationOptions, MigrationReport, TxMigrationReport, TxStats,
+    copy_on_fabric, swap_on_fabric, LftUpdateStats, MigrationOptions, MigrationReport, TxStats,
 };
 use crate::virtualize::{virtualize_host, vswitch_vf_port, Hypervisor, VirtArch, VSWITCH_UPLINK};
 use crate::vm::{VmId, VmRecord};
@@ -36,8 +35,8 @@ pub struct DataCenterConfig {
     /// Reconfiguration options for migrations and dynamic VM creation.
     pub migration: MigrationOptions,
     /// Run the fabric invariant verifier after every SM sweep and after
-    /// every resilient migration commit/rollback, failing the operation on
-    /// any violation. Off by default.
+    /// every migration commit/rollback, failing the operation on any
+    /// violation. Off by default.
     pub verify: bool,
     /// Link flap damping policy for the data center's SM. Disabled by
     /// default.
@@ -161,6 +160,9 @@ impl DataCenter {
     /// * Dynamic: the next free LID is allocated and every physical
     ///   switch's LFT learns it by copying the PF's row — one SMP per
     ///   switch (§V-B).
+    ///
+    /// The SMPs go through a perfect transport; one that is lost anyway
+    /// (its target is cut off from the SM) fails the creation.
     pub fn create_vm(&mut self, name: impl Into<String>, hyp: usize) -> IbResult<VmId> {
         let name = name.into();
         self.check_hypervisor(hyp)?;
@@ -170,17 +172,18 @@ impl DataCenter {
         let id = VmId(self.next_vm);
         self.next_vm += 1;
         self.sm.ledger.begin_phase(format!("create-{id}"));
+        let mut transport = SmpTransport::perfect(self.sm.sm_node);
 
         let vguid = self.subnet.mint_vguid();
         let pf = self.hypervisors[hyp].pf;
 
         let lid = match self.config.arch {
             VirtArch::SharedPort => {
-                self.hypervisor_smp_vguid(pf, Some(vguid))?;
+                self.hypervisor_smp_vguid(pf, Some(vguid), &mut transport)?;
                 self.hypervisors[hyp].pf_lid(&self.subnet)?
             }
             VirtArch::VSwitchPrepopulated => {
-                self.hypervisor_smp_vguid(pf, Some(vguid))?;
+                self.hypervisor_smp_vguid(pf, Some(vguid), &mut transport)?;
                 self.hypervisors[hyp]
                     .vf_lid(&self.subnet, slot)
                     .ok_or_else(|| {
@@ -198,18 +201,24 @@ impl DataCenter {
                     .connect(vsw, vswitch_vf_port(slot), vf, PortNum::new(1))?;
                 let lid = self.sm.lid_space.allocate()?;
                 self.subnet.assign_port_lid(vf, PortNum::new(1), lid)?;
-                self.hypervisor_smp_set_lid(pf, Some(lid))?;
-                self.hypervisor_smp_vguid(pf, Some(vguid))?;
+                self.hypervisor_smp_set_lid(pf, Some(lid), &mut transport)?;
+                self.hypervisor_smp_vguid(pf, Some(vguid), &mut transport)?;
                 let pf_lid = self.hypervisors[hyp].pf_lid(&self.subnet)?;
-                copy_on_fabric(
+                let (_, tx) = copy_on_fabric(
                     &mut self.subnet,
                     self.sm.sm_node,
                     pf_lid,
                     lid,
                     &self.config.migration,
                     None,
+                    &mut transport,
                     &mut self.sm.ledger,
                 )?;
+                if !tx.committed {
+                    return Err(IbError::Transport(format!(
+                        "the fabric could not learn LID {lid} of a VM on hypervisor {hyp}"
+                    )));
+                }
                 self.set_vswitch_routes(lid, Some((hyp, slot)));
                 lid
             }
@@ -241,14 +250,15 @@ impl DataCenter {
             .remove(&id)
             .ok_or_else(|| IbError::Virtualization(format!("{id} does not exist")))?;
         self.sm.ledger.begin_phase(format!("destroy-{id}"));
+        let mut transport = SmpTransport::perfect(self.sm.sm_node);
         let hyp = vm.hypervisor;
         let pf = self.hypervisors[hyp].pf;
         self.hypervisors[hyp].vfs[vm.vf_slot].attached = None;
-        self.hypervisor_smp_vguid(pf, None)?;
+        self.hypervisor_smp_vguid(pf, None, &mut transport)?;
 
         if self.config.arch == VirtArch::VSwitchDynamic {
             let vf = vf_node_of(&self.hypervisors[hyp], hyp, vm.vf_slot)?;
-            self.hypervisor_smp_set_lid(pf, None)?;
+            self.hypervisor_smp_set_lid(pf, None, &mut transport)?;
             self.subnet.clear_lid(vm.lid)?;
             self.sm.lid_space.release(vm.lid)?;
             self.subnet.disconnect(vf, PortNum::new(1))?;
@@ -256,105 +266,20 @@ impl DataCenter {
         Ok(())
     }
 
-    /// Live-migrates a VM (Algorithm 1).
+    /// Live-migrates a VM (Algorithm 1): [`Self::migrate_vm_resilient`]
+    /// over a perfect transport. A migration that rolls back anyway (the
+    /// fabric lost a path mid-migration) is an error; the VM then still
+    /// runs at the source.
     pub fn migrate_vm(&mut self, id: VmId, dest: usize) -> IbResult<MigrationReport> {
-        let vm = self
-            .vms
-            .get(&id)
-            .cloned()
-            .ok_or_else(|| IbError::Virtualization(format!("{id} does not exist")))?;
-        let src = vm.hypervisor;
-        self.check_hypervisor(dest)?;
-        if src == dest {
-            return Err(IbError::Virtualization(format!(
-                "{id} is already on hypervisor {dest}"
-            )));
+        let mut transport = SmpTransport::perfect(self.sm.sm_node);
+        let report = self.migrate_vm_resilient(id, dest, &mut transport)?;
+        if report.committed {
+            Ok(report)
+        } else {
+            Err(IbError::Transport(format!(
+                "migration of {id} to hypervisor {dest} rolled back"
+            )))
         }
-        let dest_slot = self.hypervisors[dest]
-            .free_slot()
-            .ok_or_else(|| IbError::Capacity(format!("hypervisor {dest} has no free VF")))?;
-
-        let intra_leaf = self.hypervisors[src].leaf == self.hypervisors[dest].leaf;
-        let use_shortcut = self.config.migration.intra_leaf_shortcut && intra_leaf;
-        let restrict: Option<Vec<NodeId>> = use_shortcut.then(|| vec![self.hypervisors[src].leaf]);
-
-        self.sm.ledger.begin_phase(format!("migrate-{id}"));
-
-        // Step V-C(a): detach the VF, signal both hypervisors, move vGUID.
-        self.hypervisors[src].vfs[vm.vf_slot].attached = None;
-        let src_pf = self.hypervisors[src].pf;
-        let dest_pf = self.hypervisors[dest].pf;
-        self.hypervisor_smp_set_lid(src_pf, None)?;
-        self.hypervisor_smp_set_lid(dest_pf, Some(vm.lid))?;
-        self.hypervisor_smp_vguid(dest_pf, Some(vm.vguid))?;
-        let hypervisor_smps = 3;
-
-        // Step V-C(b): LFT updates.
-        let (lft, lid_after) = match self.config.arch {
-            VirtArch::VSwitchPrepopulated => {
-                let stats = self.migrate_prepopulated(&vm, dest, dest_slot, restrict.as_deref())?;
-                (stats, vm.lid)
-            }
-            VirtArch::VSwitchDynamic => {
-                let stats = self.migrate_dynamic(&vm, dest, dest_slot, restrict.as_deref())?;
-                (stats, vm.lid)
-            }
-            VirtArch::SharedPort => {
-                let stats = self.migrate_shared_port(&vm, src, dest)?;
-                (stats, vm.lid)
-            }
-        };
-
-        // Bookkeeping.
-        self.hypervisors[dest].vfs[dest_slot].attached = Some(id);
-        let rec = self
-            .vms
-            .get_mut(&id)
-            .ok_or_else(|| IbError::Virtualization(format!("{id} vanished mid-migration")))?;
-        rec.hypervisor = dest;
-        rec.vf_slot = dest_slot;
-        rec.lid = lid_after;
-
-        Ok(MigrationReport {
-            vm: id,
-            from_hypervisor: src,
-            to_hypervisor: dest,
-            lid_before: vm.lid,
-            lid_after,
-            hypervisor_smps,
-            lft,
-            intra_leaf,
-            used_leaf_shortcut: use_shortcut,
-        })
-    }
-
-    /// §V-C1: swap the VM's LID with the destination VF's prepopulated LID.
-    fn migrate_prepopulated(
-        &mut self,
-        vm: &VmRecord,
-        dest: usize,
-        dest_slot: usize,
-        restrict: Option<&[NodeId]>,
-    ) -> IbResult<LftUpdateStats> {
-        let dest_vf_lid = self.hypervisors[dest]
-            .vf_lid(&self.subnet, dest_slot)
-            .ok_or_else(|| IbError::Virtualization("destination VF has no LID".into()))?;
-
-        let stats = swap_on_fabric(
-            &mut self.subnet,
-            self.sm.sm_node,
-            vm.lid,
-            dest_vf_lid,
-            &self.config.migration,
-            restrict,
-            &mut self.sm.ledger,
-        )?;
-        self.commit_prepopulated_registrations(vm, dest, dest_slot, dest_vf_lid)?;
-        // The swap rewrote two destination columns with direct SMPs; keep
-        // the SM's repair baseline and reverse index in step.
-        self.sm
-            .note_columns_changed(&self.subnet, &[vm.lid, dest_vf_lid]);
-        Ok(stats)
     }
 
     /// Endpoint bookkeeping after a committed prepopulated-mode swap: the
@@ -384,29 +309,6 @@ impl DataCenter {
         Ok(())
     }
 
-    /// §V-C2: the VM LID adopts the destination PF's path everywhere.
-    fn migrate_dynamic(
-        &mut self,
-        vm: &VmRecord,
-        dest: usize,
-        dest_slot: usize,
-        restrict: Option<&[NodeId]>,
-    ) -> IbResult<LftUpdateStats> {
-        let pf_lid = self.hypervisors[dest].pf_lid(&self.subnet)?;
-        let stats = copy_on_fabric(
-            &mut self.subnet,
-            self.sm.sm_node,
-            pf_lid,
-            vm.lid,
-            &self.config.migration,
-            restrict,
-            &mut self.sm.ledger,
-        )?;
-        self.commit_dynamic_registrations(vm, dest, dest_slot)?;
-        self.sm.note_columns_changed(&self.subnet, &[vm.lid]);
-        Ok(stats)
-    }
-
     /// Endpoint bookkeeping after a committed dynamic-mode copy: the VF
     /// cable and the LID move with the VM.
     fn commit_dynamic_registrations(
@@ -429,41 +331,16 @@ impl DataCenter {
         Ok(())
     }
 
-    /// The Shared Port emulation of §VII-B: the *hypervisor* LIDs of the
-    /// source and destination compute nodes are swapped so the VM's LID
-    /// value survives. Only legal when the source runs exactly this one VM
-    /// and the destination runs none — the emulation restriction the paper
-    /// had to impose because every VM on a node shares its LID.
-    fn migrate_shared_port(
+    /// Endpoint bookkeeping after the Shared Port emulation's committed
+    /// swap (§VII-B): the source and destination PFs trade LIDs, so the
+    /// VM's LID value survives the move.
+    fn commit_shared_port_registrations(
         &mut self,
-        _vm: &VmRecord,
         src: usize,
         dest: usize,
-    ) -> IbResult<LftUpdateStats> {
-        if self.hypervisors[src].active_vms() > 0 {
-            // (The migrating VM was already detached from its slot.)
-            return Err(IbError::Virtualization(
-                "shared-port migration: source hypervisor hosts other VMs that share its LID"
-                    .into(),
-            ));
-        }
-        if self.hypervisors[dest].active_vms() > 0 {
-            return Err(IbError::Virtualization(
-                "shared-port migration: destination hypervisor already hosts a VM".into(),
-            ));
-        }
-        let src_lid = self.hypervisors[src].pf_lid(&self.subnet)?;
-        let dest_lid = self.hypervisors[dest].pf_lid(&self.subnet)?;
-        let stats = swap_on_fabric(
-            &mut self.subnet,
-            self.sm.sm_node,
-            src_lid,
-            dest_lid,
-            &self.config.migration,
-            None,
-            &mut self.sm.ledger,
-        )?;
-        // Swap the endpoint registrations between the two PFs.
+        src_lid: Lid,
+        dest_lid: Lid,
+    ) -> IbResult<()> {
         let src_pf = self.hypervisors[src].pf;
         let dest_pf = self.hypervisors[dest].pf;
         let src_port = first_lid_port(&self.subnet, src_pf);
@@ -472,13 +349,10 @@ impl DataCenter {
         self.subnet.clear_lid(dest_lid)?;
         self.subnet.assign_port_lid(src_pf, src_port, dest_lid)?;
         self.subnet.assign_port_lid(dest_pf, dest_port, src_lid)?;
-        self.sm
-            .note_columns_changed(&self.subnet, &[src_lid, dest_lid]);
-        Ok(stats)
+        Ok(())
     }
 
-    /// Live-migrates a VM (Algorithm 1) over a faulty fabric, as a
-    /// transaction.
+    /// Live-migrates a VM (Algorithm 1) as a transaction over `transport`.
     ///
     /// Every SMP — the step (a) hypervisor signals and the step (b) LFT
     /// updates — goes through `transport`, which retries with backoff and
@@ -489,20 +363,27 @@ impl DataCenter {
     /// VM keeps running at the source with its registrations untouched.
     /// The returned report says which way it went via `committed`.
     ///
+    /// Step (b) per architecture: the prepopulated vSwitch swaps the VM's
+    /// LID with the destination VF's, the dynamic vSwitch copies the
+    /// destination PF's row onto the VM's LID, and the Shared Port
+    /// emulation of §VII-B swaps the two hypervisors' PF LIDs — legal only
+    /// when the VM is alone at the source and the destination hosts none,
+    /// because every VM on a node shares its LID.
+    ///
     /// Partition tolerance: a pre-flight reachability check aborts the
     /// migration (counted as `migration.abort.unreachable`) before a
     /// single SMP is sent when either hypervisor sits beyond a fabric
     /// split, and a migration that does run confines its LFT pass to the
     /// switches the SM can still reach.
     ///
-    /// Only the two vSwitch architectures are supported — the Shared Port
-    /// baseline has no per-VM fabric state to protect transactionally.
+    /// With [`DataCenterConfig::verify`], the commit or rollback is checked
+    /// against a pre-migration snapshot (§V-C's locality claim).
     pub fn migrate_vm_resilient<C: SmpChannel>(
         &mut self,
         id: VmId,
         dest: usize,
         transport: &mut SmpTransport<C>,
-    ) -> IbResult<TxMigrationReport> {
+    ) -> IbResult<MigrationReport> {
         let vm = self
             .vms
             .get(&id)
@@ -515,16 +396,42 @@ impl DataCenter {
                 "{id} is already on hypervisor {dest}"
             )));
         }
-        if self.config.arch == VirtArch::SharedPort {
-            return Err(IbError::Virtualization(
-                "resilient migration models the vSwitch architectures only".into(),
-            ));
-        }
         let dest_slot = self.hypervisors[dest]
             .free_slot()
             .ok_or_else(|| IbError::Capacity(format!("hypervisor {dest} has no free VF")))?;
-        let use_shortcut = self.config.migration.intra_leaf_shortcut
-            && self.hypervisors[src].leaf == self.hypervisors[dest].leaf;
+        let row_move = match self.config.arch {
+            VirtArch::VSwitchPrepopulated => RowMove::Swap(
+                vm.lid,
+                self.hypervisors[dest]
+                    .vf_lid(&self.subnet, dest_slot)
+                    .ok_or_else(|| IbError::Virtualization("destination VF has no LID".into()))?,
+            ),
+            VirtArch::VSwitchDynamic => RowMove::Copy {
+                pf: self.hypervisors[dest].pf_lid(&self.subnet)?,
+                vm: vm.lid,
+            },
+            VirtArch::SharedPort => {
+                if self.hypervisors[src].active_vms() > 1 {
+                    return Err(IbError::Virtualization(
+                        "shared-port migration: source hypervisor hosts other VMs that share its LID"
+                            .into(),
+                    ));
+                }
+                if self.hypervisors[dest].active_vms() > 0 {
+                    return Err(IbError::Virtualization(
+                        "shared-port migration: destination hypervisor already hosts a VM".into(),
+                    ));
+                }
+                RowMove::Swap(
+                    self.hypervisors[src].pf_lid(&self.subnet)?,
+                    self.hypervisors[dest].pf_lid(&self.subnet)?,
+                )
+            }
+        };
+        // The only forwarding columns the migration may change.
+        let moved = row_move.columns();
+        let intra_leaf = self.hypervisors[src].leaf == self.hypervisors[dest].leaf;
+        let use_shortcut = self.config.migration.intra_leaf_shortcut && intra_leaf;
         // On a split fabric the step (b) pass must confine itself to the
         // switches the SM can still reach: rows beyond the split cannot be
         // updated by any SMP and are rewritten wholesale when the heal
@@ -545,6 +452,7 @@ impl DataCenter {
         };
 
         self.sm.ledger.begin_phase(format!("migrate-{id}"));
+        let observer = self.sm.observer().clone();
         // Pre-migration fingerprint of every forwarding column: after the
         // commit (or rollback) only the LIDs the migration was allowed to
         // move may have changed anywhere in the fabric (§V-C's locality
@@ -561,18 +469,19 @@ impl DataCenter {
         let src_pf = self.hypervisors[src].pf;
         let dest_pf = self.hypervisors[dest].pf;
 
-        // A rollback report: the VM stays where it was.
-        let aborted =
-            |tx: TxStats, hypervisor_smps: usize, lft: LftUpdateStats| TxMigrationReport {
-                committed: false,
-                vm: id,
-                from_hypervisor: src,
-                to_hypervisor: dest,
-                lid: vm.lid,
-                hypervisor_smps,
-                lft,
-                tx,
-            };
+        // The report either way; a rollback leaves the VM where it was.
+        let report = |tx: TxStats, hypervisor_smps: usize, lft: LftUpdateStats| MigrationReport {
+            committed: tx.committed,
+            vm: id,
+            from_hypervisor: src,
+            to_hypervisor: dest,
+            lid: vm.lid,
+            hypervisor_smps,
+            lft,
+            tx,
+            intra_leaf,
+            used_leaf_shortcut: use_shortcut,
+        };
 
         // Pre-flight (partition tolerance): a destination hypervisor the
         // fabric split has carried away would detach the VM at the source
@@ -585,18 +494,15 @@ impl DataCenter {
             // stale rows a fresh split leaves behind are the next sweep's
             // business, not this migration's.
             tx.committed = false;
-            self.sm
-                .ledger
-                .observer()
-                .incr("migration.abort.unreachable");
-            return Ok(aborted(tx, 0, LftUpdateStats::default()));
+            observer.incr("migration.abort.unreachable");
+            return Ok(report(tx, 0, LftUpdateStats::default()));
         }
 
         // Step V-C(a): detach the VF, signal both hypervisors, move vGUID.
         // Each signal that fails persistently triggers compensation of the
         // ones already delivered, in reverse.
         self.hypervisors[src].vfs[vm.vf_slot].attached = None;
-        match self.hypervisor_smp_set_lid_tx(src_pf, None, transport) {
+        match self.hypervisor_smp_set_lid(src_pf, None, transport) {
             Ok(attempt) => {
                 tx.count_delivery(attempt);
                 hypervisor_smps += 1;
@@ -604,18 +510,18 @@ impl DataCenter {
             Err(IbError::Transport(_)) => {
                 // Nothing was delivered anywhere: re-attach locally.
                 tx.committed = false;
-                self.sm.ledger.observer().incr("migration.abort.step_a");
+                observer.incr("migration.abort.step_a");
                 self.hypervisors[src].vfs[vm.vf_slot].attached = Some(id);
                 self.verify_after_migration(snapshot.as_ref(), &[])?;
-                return Ok(aborted(tx, hypervisor_smps, LftUpdateStats::default()));
+                return Ok(report(tx, hypervisor_smps, LftUpdateStats::default()));
             }
             Err(e) => return Err(e),
         }
         for dest_lid_is_set in [false, true] {
             let sent = if dest_lid_is_set {
-                self.hypervisor_smp_vguid_tx(dest_pf, Some(vm.vguid), transport)
+                self.hypervisor_smp_vguid(dest_pf, Some(vm.vguid), transport)
             } else {
-                self.hypervisor_smp_set_lid_tx(dest_pf, Some(vm.lid), transport)
+                self.hypervisor_smp_set_lid(dest_pf, Some(vm.lid), transport)
             };
             match sent {
                 Ok(attempt) => {
@@ -624,94 +530,91 @@ impl DataCenter {
                 }
                 Err(IbError::Transport(_)) => {
                     tx.committed = false;
-                    self.sm.ledger.observer().incr("migration.abort.step_a");
+                    observer.incr("migration.abort.step_a");
                     if dest_lid_is_set {
                         // The destination already holds the LID: take it back.
                         tx.rollback_smps += 1;
-                        let _ = self.hypervisor_smp_set_lid_tx(dest_pf, None, transport);
+                        let _ = self.hypervisor_smp_set_lid(dest_pf, None, transport);
                     }
                     tx.rollback_smps += 1;
-                    let _ = self.hypervisor_smp_set_lid_tx(src_pf, Some(vm.lid), transport);
+                    let _ = self.hypervisor_smp_set_lid(src_pf, Some(vm.lid), transport);
                     self.hypervisors[src].vfs[vm.vf_slot].attached = Some(id);
                     self.verify_after_migration(snapshot.as_ref(), &[])?;
-                    return Ok(aborted(tx, hypervisor_smps, LftUpdateStats::default()));
+                    return Ok(report(tx, hypervisor_smps, LftUpdateStats::default()));
                 }
                 Err(e) => return Err(e),
             }
         }
 
         // Step V-C(b): transactional LFT updates.
-        let dest_vf_lid = if self.config.arch == VirtArch::VSwitchPrepopulated {
-            Some(
-                self.hypervisors[dest]
-                    .vf_lid(&self.subnet, dest_slot)
-                    .ok_or_else(|| IbError::Virtualization("destination VF has no LID".into()))?,
-            )
-        } else {
-            None
-        };
-        let missing_vf_lid =
-            || IbError::Virtualization("destination VF LID vanished mid-migration".into());
-        let (lft, tx_b) = match self.config.arch {
-            VirtArch::VSwitchPrepopulated => swap_on_fabric_tx(
-                &mut self.subnet,
-                self.sm.sm_node,
-                vm.lid,
-                dest_vf_lid.ok_or_else(missing_vf_lid)?,
-                &self.config.migration,
-                restrict.as_deref(),
-                transport,
-                &mut self.sm.ledger,
-            )?,
-            VirtArch::VSwitchDynamic => {
-                let pf_lid = self.hypervisors[dest].pf_lid(&self.subnet)?;
-                copy_on_fabric_tx(
+        let (lft, tx_b) = match row_move {
+            RowMove::Swap(a, b) => {
+                let _span = observer.span("migration.step_b.swap");
+                swap_on_fabric(
                     &mut self.subnet,
                     self.sm.sm_node,
-                    pf_lid,
-                    vm.lid,
+                    a,
+                    b,
                     &self.config.migration,
                     restrict.as_deref(),
                     transport,
                     &mut self.sm.ledger,
                 )?
             }
-            VirtArch::SharedPort => unreachable!("rejected above"),
+            RowMove::Copy { pf, vm } => {
+                let _span = observer.span("migration.step_b.copy");
+                copy_on_fabric(
+                    &mut self.subnet,
+                    self.sm.sm_node,
+                    pf,
+                    vm,
+                    &self.config.migration,
+                    restrict.as_deref(),
+                    transport,
+                    &mut self.sm.ledger,
+                )?
+            }
         };
         tx.retries += tx_b.retries;
         tx.attempts += tx_b.attempts;
         tx.rolled_back_switches += tx_b.rolled_back_switches;
         tx.rollback_smps += tx_b.rollback_smps;
         if !tx_b.committed {
+            if observer.is_enabled() {
+                observer.incr("migration.tx.rolled_back");
+                observer.record("migration.tx.rollback_smps", tx_b.rollback_smps as u64);
+            }
             // The fabric is back to its pre-migration LFTs; compensate the
             // hypervisor signals and re-attach the VF at the source.
             tx.committed = false;
             tx.rollback_smps += 2;
-            let _ = self.hypervisor_smp_set_lid_tx(dest_pf, None, transport);
-            let _ = self.hypervisor_smp_set_lid_tx(src_pf, Some(vm.lid), transport);
+            let _ = self.hypervisor_smp_set_lid(dest_pf, None, transport);
+            let _ = self.hypervisor_smp_set_lid(src_pf, Some(vm.lid), transport);
             self.hypervisors[src].vfs[vm.vf_slot].attached = Some(id);
             // A rollback must leave every forwarding column untouched.
             self.verify_after_migration(snapshot.as_ref(), &[])?;
             // Best-effort compensating SMPs may still have perturbed the
             // touched columns: re-read them into the SM's baseline/index.
-            let mut touched = vec![vm.lid];
-            touched.extend(dest_vf_lid);
-            self.sm.note_columns_changed(&self.subnet, &touched);
-            return Ok(aborted(tx, hypervisor_smps, lft));
+            self.sm.note_columns_changed(&self.subnet, &moved);
+            return Ok(report(tx, hypervisor_smps, lft));
+        }
+        if observer.is_enabled() {
+            observer.incr("migration.tx.committed");
+            observer.record("migration.tx.retries", tx_b.retries as u64);
+            observer.record("migration.tx.attempts", tx_b.attempts as u64);
         }
 
         // Commit: move the endpoint registrations and the bookkeeping.
-        match self.config.arch {
-            VirtArch::VSwitchPrepopulated => self.commit_prepopulated_registrations(
-                &vm,
-                dest,
-                dest_slot,
-                dest_vf_lid.ok_or_else(missing_vf_lid)?,
-            )?,
-            VirtArch::VSwitchDynamic => {
+        match (row_move, self.config.arch) {
+            (RowMove::Copy { .. }, _) => {
                 self.commit_dynamic_registrations(&vm, dest, dest_slot)?;
             }
-            VirtArch::SharedPort => unreachable!("rejected above"),
+            (RowMove::Swap(src_lid, dest_lid), VirtArch::SharedPort) => {
+                self.commit_shared_port_registrations(src, dest, src_lid, dest_lid)?;
+            }
+            (RowMove::Swap(_, dest_vf_lid), _) => {
+                self.commit_prepopulated_registrations(&vm, dest, dest_slot, dest_vf_lid)?;
+            }
         }
         self.hypervisors[dest].vfs[dest_slot].attached = Some(id);
         let rec = self
@@ -721,23 +624,11 @@ impl DataCenter {
         rec.hypervisor = dest;
         rec.vf_slot = dest_slot;
 
-        // A committed swap may move exactly the two swapped LIDs; a
-        // committed copy exactly the VM's.
-        let mut allowed = vec![vm.lid];
-        allowed.extend(dest_vf_lid);
-        self.verify_after_migration(snapshot.as_ref(), &allowed)?;
-        self.sm.note_columns_changed(&self.subnet, &allowed);
-
-        Ok(TxMigrationReport {
-            committed: true,
-            vm: id,
-            from_hypervisor: src,
-            to_hypervisor: dest,
-            lid: vm.lid,
-            hypervisor_smps,
-            lft,
-            tx,
-        })
+        self.verify_after_migration(snapshot.as_ref(), &moved)?;
+        // Step (b) rewrote these columns with direct SMPs; keep the SM's
+        // repair baseline and reverse index in step.
+        self.sm.note_columns_changed(&self.subnet, &moved);
+        Ok(report(tx, hypervisor_smps, lft))
     }
 
     // ------------------------------------------------------------------
@@ -840,61 +731,41 @@ impl DataCenter {
         }
     }
 
-    /// One `SubnSet(PortInfo)` SMP to a hypervisor (step V-C(a)).
-    fn hypervisor_smp_set_lid(&mut self, pf: NodeId, lid: Option<Lid>) -> IbResult<()> {
-        let routing = routing_for(
-            &self.subnet,
-            self.sm.sm_node,
-            pf,
-            // PortInfo SMPs to HCAs are directed unless the PF holds a LID
-            // we can address; keep it simple and faithful: directed, as
-            // OpenSM does for host configuration.
-            SmpMode::Directed,
-        )?;
-        let hops = hops_of(&self.subnet, self.sm.sm_node, pf, &routing)?;
-        let smp = Smp::set_port_lid(pf, routing, PortNum::new(1), lid);
-        self.sm.ledger.record(&smp, hops);
-        Ok(())
-    }
-
-    /// One `SubnSet(GUIDInfo)` SMP to a hypervisor (vGUID install/remove).
-    fn hypervisor_smp_vguid(&mut self, pf: NodeId, vguid: Option<ib_types::Guid>) -> IbResult<()> {
-        let routing = routing_for(&self.subnet, self.sm.sm_node, pf, SmpMode::Directed)?;
-        let hops = hops_of(&self.subnet, self.sm.sm_node, pf, &routing)?;
-        let smp = Smp::set_vguid(pf, routing, 0, vguid);
-        self.sm.ledger.record(&smp, hops);
-        Ok(())
-    }
-
-    /// The transactional counterpart of [`Self::hypervisor_smp_set_lid`]:
-    /// the SMP goes through the retrying transport, and an unroutable
-    /// hypervisor surfaces as a transport failure (so callers compensate
-    /// instead of crashing).
-    fn hypervisor_smp_set_lid_tx<C: SmpChannel>(
+    /// One `SubnSet(PortInfo)` SMP to a hypervisor (step V-C(a)), through
+    /// the retrying transport. PortInfo SMPs to HCAs are directed, as
+    /// OpenSM does for host configuration; an unroutable hypervisor
+    /// surfaces as a transport failure, so callers compensate instead of
+    /// crashing.
+    fn hypervisor_smp_set_lid<C: SmpChannel>(
         &mut self,
         pf: NodeId,
         lid: Option<Lid>,
         transport: &mut SmpTransport<C>,
     ) -> IbResult<u32> {
-        let routing = routing_for(&self.subnet, self.sm.sm_node, pf, SmpMode::Directed)
-            .map_err(|e| IbError::Transport(format!("no route to hypervisor: {e}")))?;
-        let hops = hops_of(&self.subnet, self.sm.sm_node, pf, &routing).unwrap_or(0);
+        let (routing, hops) = self.hypervisor_route(pf)?;
         let smp = Smp::set_port_lid(pf, routing, PortNum::new(1), lid);
         transport.send(&self.subnet, &smp, hops, &mut self.sm.ledger)
     }
 
-    /// The transactional counterpart of [`Self::hypervisor_smp_vguid`].
-    fn hypervisor_smp_vguid_tx<C: SmpChannel>(
+    /// One `SubnSet(GUIDInfo)` SMP to a hypervisor (vGUID install/remove),
+    /// sent like [`Self::hypervisor_smp_set_lid`].
+    fn hypervisor_smp_vguid<C: SmpChannel>(
         &mut self,
         pf: NodeId,
         vguid: Option<ib_types::Guid>,
         transport: &mut SmpTransport<C>,
     ) -> IbResult<u32> {
+        let (routing, hops) = self.hypervisor_route(pf)?;
+        let smp = Smp::set_vguid(pf, routing, 0, vguid);
+        transport.send(&self.subnet, &smp, hops, &mut self.sm.ledger)
+    }
+
+    /// Directed-route addressing of a hypervisor's PF and its hop count.
+    fn hypervisor_route(&self, pf: NodeId) -> IbResult<(ib_mad::SmpRouting, usize)> {
         let routing = routing_for(&self.subnet, self.sm.sm_node, pf, SmpMode::Directed)
             .map_err(|e| IbError::Transport(format!("no route to hypervisor: {e}")))?;
         let hops = hops_of(&self.subnet, self.sm.sm_node, pf, &routing).unwrap_or(0);
-        let smp = Smp::set_vguid(pf, routing, 0, vguid);
-        transport.send(&self.subnet, &smp, hops, &mut self.sm.ledger)
+        Ok((routing, hops))
     }
 
     /// Verifies that every VM LID and every PF LID is reachable from every
@@ -936,6 +807,31 @@ impl DataCenter {
     }
 }
 
+/// The rows one migration's step (b) rewrites.
+#[derive(Clone, Copy, Debug)]
+enum RowMove {
+    /// Exchange two LIDs' rows: the VM's and the destination VF's (§V-C1),
+    /// or the two hypervisors' PF LIDs (the Shared Port emulation).
+    Swap(Lid, Lid),
+    /// Copy the destination PF LID's row onto the VM LID's (§V-C2).
+    Copy {
+        /// The destination PF's LID.
+        pf: Lid,
+        /// The VM's LID.
+        vm: Lid,
+    },
+}
+
+impl RowMove {
+    /// The forwarding columns the move may change.
+    fn columns(self) -> Vec<Lid> {
+        match self {
+            Self::Swap(a, b) => vec![a, b],
+            Self::Copy { vm, .. } => vec![vm],
+        }
+    }
+}
+
 /// The vSwitch node of a hypervisor, or a virtualization error for the
 /// Shared Port architecture (which has none).
 fn vswitch_of(h: &Hypervisor, hyp: usize) -> IbResult<NodeId> {
@@ -969,6 +865,7 @@ fn first_lid_port(subnet: &Subnet, node: NodeId) -> PortNum {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ib_mad::AttributeKind;
     use ib_subnet::topology::fattree::two_level;
 
     fn dc(arch: VirtArch) -> DataCenter {
@@ -1076,8 +973,9 @@ mod tests {
         let vm = dc.create_vm("vm0", 0).unwrap();
         let lid_before = dc.vm(vm).unwrap().lid;
         let report = dc.migrate_vm(vm, 4).unwrap();
-        assert_eq!(report.lid_before, lid_before);
-        assert_eq!(report.lid_after, lid_before, "the LID follows the VM");
+        assert!(report.committed);
+        assert_eq!(report.lid, lid_before);
+        assert_eq!(dc.vm(vm).unwrap().lid, lid_before, "the LID follows the VM");
         assert_eq!(report.hypervisor_smps, 3);
         assert!(report.lft.max_blocks_per_switch <= 2);
         assert!(report.lft.switches_updated <= dc.subnet.num_physical_switches());
@@ -1091,7 +989,8 @@ mod tests {
         let vm = dc.create_vm("vm0", 0).unwrap();
         let lid = dc.vm(vm).unwrap().lid;
         let report = dc.migrate_vm(vm, 4).unwrap();
-        assert_eq!(report.lid_after, lid);
+        assert_eq!(report.lid, lid);
+        assert_eq!(dc.vm(vm).unwrap().lid, lid);
         assert_eq!(
             report.lft.max_blocks_per_switch.max(1),
             1,
@@ -1117,7 +1016,11 @@ mod tests {
         // swap of the §VII-B emulation.
         let lid = dc.vm(vm0).unwrap().lid;
         let report = dc.migrate_vm(vm0, 2).unwrap();
-        assert_eq!(report.lid_after, lid);
+        assert_eq!(report.lid, lid);
+        assert_eq!(dc.vm(vm0).unwrap().lid, lid);
+        // The emulation swaps the two PF LIDs: the destination now owns
+        // the VM's LID value.
+        assert_eq!(dc.hypervisors[2].pf_lid(&dc.subnet).unwrap(), lid);
         dc.verify_connectivity().unwrap();
     }
 
@@ -1156,26 +1059,93 @@ mod tests {
         assert!(dc.migrate_vm_resilient(vm, 99, &mut transport).is_err());
     }
 
+    /// A fault-free migration's ledger phase, report and moved columns,
+    /// pinned to the values the record-only migration logged on this
+    /// fabric before it was folded into the transactional pipeline.
     #[test]
-    fn resilient_migration_commits_like_classic_when_fault_free() {
+    fn perfect_migration_matches_recorded_classic_migration() {
         for arch in [VirtArch::VSwitchPrepopulated, VirtArch::VSwitchDynamic] {
-            let mut classic = dc(arch);
-            let mut resilient = dc(arch);
-            let vm_c = classic.create_vm("vm", 0).unwrap();
-            let vm_r = resilient.create_vm("vm", 0).unwrap();
-            let report_c = classic.migrate_vm(vm_c, 4).unwrap();
-            let mut transport = SmpTransport::perfect(resilient.sm.sm_node);
-            let report_r = resilient
-                .migrate_vm_resilient(vm_r, 4, &mut transport)
-                .unwrap();
-            assert!(report_r.committed, "{arch}");
-            assert_eq!(report_r.tx.retries, 0);
-            assert_eq!(report_r.lft, report_c.lft, "{arch}");
-            assert_eq!(report_r.hypervisor_smps, report_c.hypervisor_smps);
-            for sw in classic.subnet.physical_switches() {
-                assert_eq!(resilient.subnet.lft(sw.id).unwrap(), sw.lft().unwrap());
+            let mut dc = dc(arch);
+            let vm = dc.create_vm("vm", 0).unwrap();
+            let before: Vec<_> = dc
+                .subnet
+                .physical_switches()
+                .map(|n| n.lft().unwrap().clone())
+                .collect();
+            let mut transport = SmpTransport::perfect(dc.sm.sm_node);
+            let report = dc.migrate_vm_resilient(vm, 4, &mut transport).unwrap();
+            assert!(report.committed, "{arch}");
+            assert_eq!(report.tx.retries, 0);
+            assert_eq!(report.hypervisor_smps, 3);
+            assert_eq!(
+                report.lft,
+                LftUpdateStats {
+                    lft_smps: 4,
+                    invalidation_smps: 0,
+                    switches_updated: 4,
+                    max_blocks_per_switch: 1,
+                },
+                "{arch}"
+            );
+            // Step (a): PortInfo to the source PF (the SM's own node, 0
+            // hops) and PortInfo + GUIDInfo to the destination PF, directed;
+            // step (b): one destination-routed LFT block per switch.
+            let records: Vec<(usize, AttributeKind, bool, usize)> = dc
+                .sm
+                .ledger
+                .phase_records(&format!("migrate-{vm}"))
+                .iter()
+                .map(|r| {
+                    assert_eq!(r.attempt, 0);
+                    assert!(r.status.is_delivered());
+                    (r.target.index(), r.attribute, r.directed, r.hops)
+                })
+                .collect();
+            assert_eq!(
+                records,
+                [
+                    (4, AttributeKind::PortInfo, true, 0),
+                    (8, AttributeKind::PortInfo, true, 6),
+                    (8, AttributeKind::GuidInfo, true, 6),
+                    (0, AttributeKind::LftBlock, false, 2),
+                    (1, AttributeKind::LftBlock, false, 4),
+                    (2, AttributeKind::LftBlock, false, 3),
+                    (3, AttributeKind::LftBlock, false, 3),
+                ],
+                "{arch}"
+            );
+            // The moved columns, per switch 0..4; every other row as before.
+            let (mut moved, expected): (Vec<Lid>, Vec<[u8; 4]>) = match arch {
+                VirtArch::VSwitchPrepopulated => (
+                    vec![Lid::from_raw(6), Lid::from_raw(22)],
+                    vec![[5, 2, 2, 2], [1, 5, 1, 1]],
+                ),
+                _ => (vec![Lid::from_raw(11)], vec![[5, 2, 2, 2]]),
+            };
+            assert_eq!(report.lid, moved[0], "{arch}");
+            let after: Vec<_> = dc
+                .subnet
+                .physical_switches()
+                .map(|n| n.lft().unwrap().clone())
+                .collect();
+            for (lid, ports) in moved.iter().zip(&expected) {
+                let column: Vec<Option<u8>> = after
+                    .iter()
+                    .map(|lft| lft.get(*lid).map(PortNum::raw))
+                    .collect();
+                let want: Vec<Option<u8>> = ports.iter().copied().map(Some).collect();
+                assert_eq!(column, want, "{arch}: LID {lid}");
             }
-            resilient.verify_connectivity().unwrap();
+            moved.sort_unstable();
+            for (was, now) in before.iter().zip(&after) {
+                for raw in 1..=was.num_blocks() as u16 * 64 {
+                    let lid = Lid::from_raw(raw);
+                    if moved.binary_search(&lid).is_err() {
+                        assert_eq!(was.get(lid), now.get(lid), "{arch}: LID {lid}");
+                    }
+                }
+            }
+            dc.verify_connectivity().unwrap();
         }
     }
 
@@ -1280,11 +1250,19 @@ mod tests {
     }
 
     #[test]
-    fn resilient_migration_rejects_shared_port() {
+    fn shared_port_refusal_sends_nothing_and_keeps_the_vm_attached() {
         let mut dc = dc(VirtArch::SharedPort);
         let vm = dc.create_vm("vm", 0).unwrap();
-        let mut transport = SmpTransport::perfect(dc.sm.sm_node);
-        assert!(dc.migrate_vm_resilient(vm, 4, &mut transport).is_err());
+        let _other = dc.create_vm("other", 4).unwrap();
+        let before = dc.sm.ledger.total();
+        assert!(dc.migrate_vm(vm, 4).is_err());
+        assert_eq!(dc.sm.ledger.total(), before, "refused before any SMP");
+        let rec = dc.vm(vm).unwrap();
+        assert_eq!(dc.hypervisors[0].vfs[rec.vf_slot].attached, Some(vm));
+        // The same VM moves to an empty node.
+        let report = dc.migrate_vm(vm, 3).unwrap();
+        assert_eq!(report.total_smps(), dc.sm.ledger.total() - before);
+        dc.verify_connectivity().unwrap();
     }
 
     #[test]

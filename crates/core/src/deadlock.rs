@@ -107,16 +107,18 @@ mod tests {
         let before = LftSnapshot::capture(&t.subnet);
         let a = t.subnet.node(t.hosts[1]).ports[1].lid.unwrap();
         let b = t.subnet.node(t.hosts[4]).ports[1].lid.unwrap();
-        swap_on_fabric(
+        let (_, tx) = swap_on_fabric(
             &mut t.subnet,
             sm.sm_node,
             a,
             b,
             &MigrationOptions::default(),
             None,
+            &mut ib_mad::SmpTransport::perfect(sm.sm_node),
             &mut sm.ledger,
         )
         .unwrap();
+        assert!(tx.committed);
 
         let analysis = analyze_transition(&t.subnet, &before).unwrap();
         assert!(analysis.old_acyclic);

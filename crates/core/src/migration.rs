@@ -14,6 +14,11 @@
 //!
 //! No path is ever recomputed: `PCt` is eliminated outright, which is the
 //! entire point of the paper.
+//!
+//! Step (b) runs as a transaction over an [`SmpTransport`]: rows are
+//! journaled and applied switch by switch, every SMP is retried, and the
+//! first persistent delivery failure rolls the whole pass back. A caller
+//! with no fault model passes [`SmpTransport::perfect`].
 
 use ib_mad::fault::{SmpChannel, SmpTransport};
 use ib_mad::{Smp, SmpLedger};
@@ -65,177 +70,7 @@ pub struct LftUpdateStats {
     pub max_blocks_per_switch: usize,
 }
 
-/// Everything one migration did.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MigrationReport {
-    /// The migrated VM.
-    pub vm: VmId,
-    /// Source hypervisor index.
-    pub from_hypervisor: usize,
-    /// Destination hypervisor index.
-    pub to_hypervisor: usize,
-    /// VM LID before migration.
-    pub lid_before: Lid,
-    /// VM LID after migration (identical under both vSwitch architectures;
-    /// different only under the Shared Port baseline).
-    pub lid_after: Lid,
-    /// Step (a) SMPs: set/unset LID on the participating hypervisors plus
-    /// the vGUID install.
-    pub hypervisor_smps: usize,
-    /// Step (b) accounting.
-    pub lft: LftUpdateStats,
-    /// Whether source and destination share a leaf switch.
-    pub intra_leaf: bool,
-    /// Whether the intra-leaf shortcut actually restricted the update.
-    pub used_leaf_shortcut: bool,
-}
-
-impl MigrationReport {
-    /// Total SMPs of the whole migration.
-    #[must_use]
-    pub fn total_smps(&self) -> usize {
-        self.hypervisor_smps + self.lft.lft_smps + self.lft.invalidation_smps
-    }
-}
-
-/// The installed LFT of a switch the update pass already vetted, as an
-/// error instead of a panic: with a degraded subnet (a fault event landing
-/// mid-operation) the caller must get a chance to roll back.
-fn lft_mut_or_err(subnet: &mut Subnet, sw: NodeId) -> IbResult<&mut Lft> {
-    let name = subnet.name_of(sw).to_string();
-    subnet
-        .lft_mut(sw)
-        .ok_or(IbError::Management(format!("{name} has no LFT")))
-}
-
-/// The switches Algorithm 1 iterates for one update pass: every physical
-/// switch, or an explicit restriction (the §VI-D leaf-only case).
-fn targets(subnet: &Subnet, restrict: Option<&[NodeId]>) -> Vec<NodeId> {
-    match restrict {
-        Some(r) => r.to_vec(),
-        None => {
-            let mut v: Vec<NodeId> = subnet.physical_switches().map(|n| n.id).collect();
-            v.sort_unstable_by_key(|n| n.index());
-            v
-        }
-    }
-}
-
-/// §V-C1 step (b): swap the LFT rows of `a` and `b` on every switch whose
-/// rows differ. Exactly the paper's cost: `m' = 1` SMP per switch when the
-/// LIDs share an LFT block, `m' = 2` otherwise, and `n'` = the number of
-/// switches whose two rows are not already equal.
-pub fn swap_on_fabric(
-    subnet: &mut Subnet,
-    sm_node: NodeId,
-    a: Lid,
-    b: Lid,
-    opts: &MigrationOptions,
-    restrict: Option<&[NodeId]>,
-    ledger: &mut SmpLedger,
-) -> IbResult<LftUpdateStats> {
-    if a == b {
-        return Err(IbError::Virtualization(
-            "cannot swap a LID with itself".into(),
-        ));
-    }
-    let mut stats = LftUpdateStats::default();
-    let blocks_for_swap: Vec<usize> = if a.same_block(b) {
-        vec![a.lft_block()]
-    } else {
-        vec![a.lft_block(), b.lft_block()]
-    };
-
-    for sw in targets(subnet, restrict) {
-        let lft = subnet
-            .lft(sw)
-            .ok_or_else(|| IbError::Management(format!("{} has no LFT", subnet.name_of(sw))))?;
-        let (pa, pb) = (lft.get(a), lft.get(b));
-        if pa == pb {
-            // §VI-B: the initial routing already forwards both LIDs the
-            // same way from here — nothing to update on this switch.
-            continue;
-        }
-        let routing = routing_for(subnet, sm_node, sw, opts.smp_mode)?;
-        let hops = hops_of(subnet, sm_node, sw, &routing)?;
-        if opts.invalidate_first {
-            record_block_smp(subnet, sw, a.lft_block(), &routing, hops, ledger);
-            lft_mut_or_err(subnet, sw)?.set(a, PortNum::DROP);
-            stats.invalidation_smps += 1;
-        }
-        {
-            let lft = lft_mut_or_err(subnet, sw)?;
-            match pb {
-                Some(p) => lft.set(a, p),
-                None => lft.clear(a),
-            }
-            match pa {
-                Some(p) => lft.set(b, p),
-                None => lft.clear(b),
-            }
-        }
-        for &block in &blocks_for_swap {
-            record_block_smp(subnet, sw, block, &routing, hops, ledger);
-        }
-        stats.lft_smps += blocks_for_swap.len();
-        stats.switches_updated += 1;
-        stats.max_blocks_per_switch = stats.max_blocks_per_switch.max(blocks_for_swap.len());
-    }
-    Ok(stats)
-}
-
-/// §V-C2 step (b): make `vm_lid`'s row a copy of `pf_lid`'s row on every
-/// switch where they differ. One SMP per updated switch, always.
-pub fn copy_on_fabric(
-    subnet: &mut Subnet,
-    sm_node: NodeId,
-    pf_lid: Lid,
-    vm_lid: Lid,
-    opts: &MigrationOptions,
-    restrict: Option<&[NodeId]>,
-    ledger: &mut SmpLedger,
-) -> IbResult<LftUpdateStats> {
-    if pf_lid == vm_lid {
-        return Err(IbError::Virtualization(
-            "VM LID cannot equal the PF LID it copies".into(),
-        ));
-    }
-    let mut stats = LftUpdateStats::default();
-
-    for sw in targets(subnet, restrict) {
-        let lft = subnet
-            .lft(sw)
-            .ok_or_else(|| IbError::Management(format!("{} has no LFT", subnet.name_of(sw))))?;
-        let target = lft.get(pf_lid).ok_or_else(|| {
-            IbError::Management(format!(
-                "{} has no row for PF LID {pf_lid}",
-                subnet.name_of(sw)
-            ))
-        })?;
-        if lft.get(vm_lid) == Some(target) {
-            continue;
-        }
-        let routing = routing_for(subnet, sm_node, sw, opts.smp_mode)?;
-        let hops = hops_of(subnet, sm_node, sw, &routing)?;
-        if opts.invalidate_first {
-            record_block_smp(subnet, sw, vm_lid.lft_block(), &routing, hops, ledger);
-            lft_mut_or_err(subnet, sw)?.set(vm_lid, PortNum::DROP);
-            stats.invalidation_smps += 1;
-        }
-        lft_mut_or_err(subnet, sw)?.set(vm_lid, target);
-        record_block_smp(subnet, sw, vm_lid.lft_block(), &routing, hops, ledger);
-        stats.lft_smps += 1;
-        stats.switches_updated += 1;
-        stats.max_blocks_per_switch = 1;
-    }
-    Ok(stats)
-}
-
-// ----------------------------------------------------------------------
-// Transactional variants
-// ----------------------------------------------------------------------
-
-/// Accounting of one transactional LFT-update pass.
+/// Transactional accounting of one LFT-update pass or migration.
 ///
 /// The attempts-versus-retries convention, pinned by regression tests and
 /// reconciled against the [`SmpLedger`]'s per-attempt records: for every
@@ -271,48 +106,87 @@ impl TxStats {
     }
 }
 
-/// Everything one resilient (transactional) migration did — the
-/// fault-aware counterpart of [`MigrationReport`].
+/// Everything one live migration did, committed or rolled back.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TxMigrationReport {
+pub struct MigrationReport {
     /// Whether the migration committed. `false` means every touched LFT
     /// row was rolled back and the VM still runs at the source.
     pub committed: bool,
-    /// The VM the migration was for.
+    /// The migrated VM.
     pub vm: VmId,
     /// Source hypervisor index.
     pub from_hypervisor: usize,
     /// Destination hypervisor index.
     pub to_hypervisor: usize,
-    /// The VM's LID (unchanged whether the migration commits or rolls
-    /// back — that is the invariant the transaction protects).
+    /// The VM's LID. A migration never changes it: under both vSwitch
+    /// architectures the LID moves with the VM, under the Shared Port
+    /// baseline the two hypervisors trade PF LIDs so the value survives,
+    /// and a rollback leaves it where it was.
     pub lid: Lid,
-    /// Step (a) SMPs actually delivered to hypervisors.
+    /// Step (a) SMPs delivered to hypervisors: set/unset LID on the
+    /// participating hypervisors plus the vGUID install.
     pub hypervisor_smps: usize,
     /// Step (b) accounting for whatever was applied before commit or
     /// rollback.
     pub lft: LftUpdateStats,
     /// Transactional accounting (retries, rollback cost).
     pub tx: TxStats,
+    /// Whether source and destination share a leaf switch.
+    pub intra_leaf: bool,
+    /// Whether the intra-leaf shortcut actually restricted the update.
+    pub used_leaf_shortcut: bool,
 }
 
-/// One journaled LFT row: enough to undo a swap/copy on one switch.
-#[derive(Clone, Copy, Debug)]
-struct JournalRow {
-    sw: NodeId,
-    lid: Lid,
-    old: Option<PortNum>,
+impl MigrationReport {
+    /// Total SMPs the migration delivered.
+    #[must_use]
+    pub fn total_smps(&self) -> usize {
+        self.hypervisor_smps + self.lft.lft_smps + self.lft.invalidation_smps
+    }
 }
 
-/// §V-C1 step (b) under a faulty fabric: the row swap of
-/// [`swap_on_fabric`], executed transactionally. Rows are applied switch
-/// by switch and confirmed with retried SMPs through `transport`; on the
-/// first persistent delivery failure every already-applied row is rolled
-/// back (locally unconditionally, remotely via best-effort compensating
-/// SMPs) and the pass reports `committed = false` instead of leaving the
-/// fabric half-swapped.
+/// The switches Algorithm 1 iterates for one update pass: every physical
+/// switch, or an explicit restriction (the §VI-D leaf-only case).
+fn targets(subnet: &Subnet, restrict: Option<&[NodeId]>) -> Vec<NodeId> {
+    match restrict {
+        Some(r) => r.to_vec(),
+        None => {
+            let mut v: Vec<NodeId> = subnet.physical_switches().map(|n| n.id).collect();
+            v.sort_unstable_by_key(|n| n.index());
+            v
+        }
+    }
+}
+
+/// The installed LFT of `sw`, or an error naming the switch.
+fn lft_of(subnet: &Subnet, sw: NodeId) -> IbResult<&Lft> {
+    subnet
+        .lft(sw)
+        .ok_or_else(|| IbError::Management(format!("{} has no LFT", subnet.name_of(sw))))
+}
+
+/// Sets (`Some`) or clears (`None`) one LFT row.
+fn write_row(lft: &mut Lft, lid: Lid, port: Option<PortNum>) {
+    match port {
+        Some(p) => lft.set(lid, p),
+        None => lft.clear(lid),
+    }
+}
+
+/// §V-C1 step (b): swap the LFT rows of `a` and `b` on every switch whose
+/// rows differ. Exactly the paper's cost: `m' = 1` SMP per switch when the
+/// LIDs share an LFT block, `m' = 2` otherwise, and `n'` = the number of
+/// switches whose two rows are not already equal. With
+/// [`MigrationOptions::invalidate_first`], `a`'s row first goes to the drop
+/// port on each such switch, one SMP more.
+///
+/// Runs as a transaction over `transport`: on the first persistent
+/// delivery failure every already-applied row is rolled back (locally
+/// unconditionally, remotely via best-effort compensating SMPs) and the
+/// pass reports `committed = false` instead of leaving the fabric
+/// half-swapped.
 #[allow(clippy::too_many_arguments)]
-pub fn swap_on_fabric_tx<C: SmpChannel>(
+pub fn swap_on_fabric<C: SmpChannel>(
     subnet: &mut Subnet,
     sm_node: NodeId,
     a: Lid,
@@ -327,90 +201,26 @@ pub fn swap_on_fabric_tx<C: SmpChannel>(
             "cannot swap a LID with itself".into(),
         ));
     }
-    let _span = ledger.observer().span("migration.step_b.swap");
-    let mut stats = LftUpdateStats::default();
-    let mut tx = TxStats {
-        committed: true,
-        ..TxStats::default()
+    let pass = RowUpdate {
+        sm_node,
+        opts,
+        restrict,
     };
-    let mut journal: Vec<JournalRow> = Vec::new();
-    let blocks_for_swap: Vec<usize> = if a.same_block(b) {
-        vec![a.lft_block()]
-    } else {
-        vec![a.lft_block(), b.lft_block()]
-    };
-
-    for sw in targets(subnet, restrict) {
-        let lft = subnet
-            .lft(sw)
-            .ok_or_else(|| IbError::Management(format!("{} has no LFT", subnet.name_of(sw))))?;
+    pass.run(subnet, transport, ledger, |subnet, sw| {
+        let lft = lft_of(subnet, sw)?;
         let (pa, pb) = (lft.get(a), lft.get(b));
-        if pa == pb {
-            continue;
-        }
-        // An unroutable switch (e.g. cut off by a mid-migration link
-        // failure) is a delivery failure, not a programming error.
-        let Ok(routing) = routing_for(subnet, sm_node, sw, opts.smp_mode) else {
-            rollback(subnet, sm_node, opts, &journal, transport, ledger, &mut tx);
-            return Ok((stats, tx));
-        };
-        let hops = hops_of(subnet, sm_node, sw, &routing).unwrap_or(0);
-        journal.push(JournalRow {
-            sw,
-            lid: a,
-            old: pa,
-        });
-        journal.push(JournalRow {
-            sw,
-            lid: b,
-            old: pb,
-        });
-        {
-            let Some(lft) = subnet.lft_mut(sw) else {
-                // The switch degraded between the read and the write: treat
-                // it as a delivery failure and roll the pass back.
-                rollback(subnet, sm_node, opts, &journal, transport, ledger, &mut tx);
-                return Ok((stats, tx));
-            };
-            match pb {
-                Some(p) => lft.set(a, p),
-                None => lft.clear(a),
-            }
-            match pa {
-                Some(p) => lft.set(b, p),
-                None => lft.clear(b),
-            }
-        }
-        let mut failed = false;
-        for &block in &blocks_for_swap {
-            match send_block_smp(subnet, sw, block, &routing, hops, transport, ledger) {
-                Ok(attempt) => {
-                    tx.count_delivery(attempt);
-                    stats.lft_smps += 1;
-                }
-                Err(IbError::Transport(_)) => {
-                    failed = true;
-                    break;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        if failed {
-            rollback(subnet, sm_node, opts, &journal, transport, ledger, &mut tx);
-            return Ok((stats, tx));
-        }
-        stats.switches_updated += 1;
-        stats.max_blocks_per_switch = stats.max_blocks_per_switch.max(blocks_for_swap.len());
-    }
-    observe_commit(ledger, &tx);
-    Ok((stats, tx))
+        // §VI-B: where the initial routing already forwards both LIDs the
+        // same way there is nothing to update.
+        Ok((pa != pb).then(|| vec![(a, pb), (b, pa)]))
+    })
 }
 
-/// §V-C2 step (b) under a faulty fabric: the row copy of
-/// [`copy_on_fabric`], executed transactionally with the same
-/// journal/rollback discipline as [`swap_on_fabric_tx`].
+/// §V-C2 step (b): make `vm_lid`'s row a copy of `pf_lid`'s row on every
+/// switch where they differ. One SMP per updated switch, always — plus the
+/// drop-port SMP under [`MigrationOptions::invalidate_first`]. The same
+/// transaction discipline as [`swap_on_fabric`].
 #[allow(clippy::too_many_arguments)]
-pub fn copy_on_fabric_tx<C: SmpChannel>(
+pub fn copy_on_fabric<C: SmpChannel>(
     subnet: &mut Subnet,
     sm_node: NodeId,
     pf_lid: Lid,
@@ -425,127 +235,171 @@ pub fn copy_on_fabric_tx<C: SmpChannel>(
             "VM LID cannot equal the PF LID it copies".into(),
         ));
     }
-    let _span = ledger.observer().span("migration.step_b.copy");
-    let mut stats = LftUpdateStats::default();
-    let mut tx = TxStats {
-        committed: true,
-        ..TxStats::default()
+    let pass = RowUpdate {
+        sm_node,
+        opts,
+        restrict,
     };
-    let mut journal: Vec<JournalRow> = Vec::new();
-
-    for sw in targets(subnet, restrict) {
-        let lft = subnet
-            .lft(sw)
-            .ok_or_else(|| IbError::Management(format!("{} has no LFT", subnet.name_of(sw))))?;
+    pass.run(subnet, transport, ledger, |subnet, sw| {
+        let lft = lft_of(subnet, sw)?;
         let target = lft.get(pf_lid).ok_or_else(|| {
             IbError::Management(format!(
                 "{} has no row for PF LID {pf_lid}",
                 subnet.name_of(sw)
             ))
         })?;
-        let old = lft.get(vm_lid);
-        if old == Some(target) {
-            continue;
-        }
-        let Ok(routing) = routing_for(subnet, sm_node, sw, opts.smp_mode) else {
-            rollback(subnet, sm_node, opts, &journal, transport, ledger, &mut tx);
-            return Ok((stats, tx));
-        };
-        let hops = hops_of(subnet, sm_node, sw, &routing).unwrap_or(0);
-        journal.push(JournalRow {
-            sw,
-            lid: vm_lid,
-            old,
-        });
-        let Some(lft) = subnet.lft_mut(sw) else {
-            rollback(subnet, sm_node, opts, &journal, transport, ledger, &mut tx);
-            return Ok((stats, tx));
-        };
-        lft.set(vm_lid, target);
-        match send_block_smp(
-            subnet,
-            sw,
-            vm_lid.lft_block(),
-            &routing,
-            hops,
-            transport,
-            ledger,
-        ) {
-            Ok(attempt) => {
-                tx.count_delivery(attempt);
-                stats.lft_smps += 1;
-                stats.switches_updated += 1;
-                stats.max_blocks_per_switch = 1;
-            }
-            Err(IbError::Transport(_)) => {
-                rollback(subnet, sm_node, opts, &journal, transport, ledger, &mut tx);
-                return Ok((stats, tx));
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    observe_commit(ledger, &tx);
-    Ok((stats, tx))
+        Ok((lft.get(vm_lid) != Some(target)).then(|| vec![(vm_lid, Some(target))]))
+    })
 }
 
-/// Mirrors a committed pass's transactional accounting into the observer.
-fn observe_commit(ledger: &SmpLedger, tx: &TxStats) {
-    let observer = ledger.observer();
-    if observer.is_enabled() {
-        observer.incr("migration.tx.committed");
-        observer.record("migration.tx.retries", tx.retries as u64);
-        observer.record("migration.tx.attempts", tx.attempts as u64);
-    }
+/// One journaled LFT row: enough to undo a swap/copy on one switch.
+#[derive(Clone, Copy, Debug)]
+struct JournalRow {
+    sw: NodeId,
+    lid: Lid,
+    old: Option<PortNum>,
 }
 
-/// Restores every journaled row (newest first) and pushes best-effort
-/// compensating SMPs for the touched blocks.
-///
-/// The local restore is unconditional: the installed LFT models the state
-/// the SM *intends*, and a compensating SMP that is itself lost leaves a
-/// divergent physical switch that the next trap-driven re-sweep repairs —
-/// exactly OpenSM's safety net, so the simulation does not block rollback
-/// on it.
-fn rollback<C: SmpChannel>(
-    subnet: &mut Subnet,
+/// Rows one switch must rewrite, the moving LID's row first.
+type Rows = Vec<(Lid, Option<PortNum>)>;
+
+/// The transactional pass behind [`swap_on_fabric`] and [`copy_on_fabric`].
+struct RowUpdate<'a> {
     sm_node: NodeId,
-    opts: &MigrationOptions,
-    journal: &[JournalRow],
-    transport: &mut SmpTransport<C>,
-    ledger: &mut SmpLedger,
-    tx: &mut TxStats,
-) {
-    tx.committed = false;
-    let mut switches: Vec<NodeId> = Vec::new();
-    let mut blocks: Vec<(NodeId, usize)> = Vec::new();
-    for row in journal.iter().rev() {
-        if let Some(lft) = subnet.lft_mut(row.sw) {
-            match row.old {
-                Some(p) => lft.set(row.lid, p),
-                None => lft.clear(row.lid),
+    opts: &'a MigrationOptions,
+    restrict: Option<&'a [NodeId]>,
+}
+
+impl RowUpdate<'_> {
+    /// Walks the target switches; `plan` names the rows a switch needs
+    /// (`None`: already right). Per switch: journal the old rows, optionally
+    /// send the first row to the drop port, write the rows and send their
+    /// blocks. A delivery failure or an unroutable switch rolls the pass
+    /// back and returns `committed = false`; a structural error from `plan`
+    /// rolls it back and is returned.
+    fn run<C: SmpChannel>(
+        &self,
+        subnet: &mut Subnet,
+        transport: &mut SmpTransport<C>,
+        ledger: &mut SmpLedger,
+        plan: impl Fn(&Subnet, NodeId) -> IbResult<Option<Rows>>,
+    ) -> IbResult<(LftUpdateStats, TxStats)> {
+        let mut stats = LftUpdateStats::default();
+        let mut tx = TxStats {
+            committed: true,
+            ..TxStats::default()
+        };
+        let mut journal: Vec<JournalRow> = Vec::new();
+        for sw in targets(subnet, self.restrict) {
+            let rows = match plan(subnet, sw) {
+                Ok(Some(rows)) => rows,
+                Ok(None) => continue,
+                Err(e) => {
+                    self.rollback(subnet, &journal, transport, ledger, &mut tx);
+                    return Err(e);
+                }
+            };
+            // An unroutable switch (e.g. cut off by a mid-migration link
+            // failure) is a delivery failure, not a programming error.
+            let Ok(routing) = routing_for(subnet, self.sm_node, sw, self.opts.smp_mode) else {
+                self.rollback(subnet, &journal, transport, ledger, &mut tx);
+                return Ok((stats, tx));
+            };
+            let hops = hops_of(subnet, self.sm_node, sw, &routing).unwrap_or(0);
+            let installed = lft_of(subnet, sw)?;
+            journal.extend(rows.iter().map(|&(lid, _)| JournalRow {
+                sw,
+                lid,
+                old: installed.get(lid),
+            }));
+            let mut blocks: Vec<usize> = rows.iter().map(|(lid, _)| lid.lft_block()).collect();
+            blocks.dedup();
+            // §VI-C: the drop-port write goes out before the real one.
+            let invalidation = self
+                .opts
+                .invalidate_first
+                .then(|| vec![(rows[0].0, Some(PortNum::DROP))]);
+            for (writes, invalidating) in invalidation
+                .into_iter()
+                .map(|w| (w, true))
+                .chain(std::iter::once((rows, false)))
+            {
+                let Some(lft) = subnet.lft_mut(sw) else {
+                    // The switch degraded between the read and the write:
+                    // treat it as a delivery failure.
+                    self.rollback(subnet, &journal, transport, ledger, &mut tx);
+                    return Ok((stats, tx));
+                };
+                for &(lid, port) in &writes {
+                    write_row(lft, lid, port);
+                }
+                let sends = if invalidating {
+                    &blocks[..1]
+                } else {
+                    &blocks[..]
+                };
+                for &block in sends {
+                    match send_block_smp(subnet, sw, block, &routing, hops, transport, ledger) {
+                        Ok(attempt) => tx.count_delivery(attempt),
+                        Err(IbError::Transport(_)) => {
+                            self.rollback(subnet, &journal, transport, ledger, &mut tx);
+                            return Ok((stats, tx));
+                        }
+                        Err(e) => return Err(e),
+                    }
+                    if invalidating {
+                        stats.invalidation_smps += 1;
+                    } else {
+                        stats.lft_smps += 1;
+                    }
+                }
+            }
+            stats.switches_updated += 1;
+            stats.max_blocks_per_switch = stats.max_blocks_per_switch.max(blocks.len());
+        }
+        Ok((stats, tx))
+    }
+
+    /// Restores every journaled row (newest first) and pushes best-effort
+    /// compensating SMPs for the touched blocks.
+    ///
+    /// The local restore is unconditional: the installed LFT models the
+    /// state the SM *intends*, and a compensating SMP that is itself lost
+    /// leaves a divergent physical switch that the next trap-driven
+    /// re-sweep repairs — exactly OpenSM's safety net, so the simulation
+    /// does not block rollback on it.
+    fn rollback<C: SmpChannel>(
+        &self,
+        subnet: &mut Subnet,
+        journal: &[JournalRow],
+        transport: &mut SmpTransport<C>,
+        ledger: &mut SmpLedger,
+        tx: &mut TxStats,
+    ) {
+        tx.committed = false;
+        let mut switches: Vec<NodeId> = Vec::new();
+        let mut blocks: Vec<(NodeId, usize)> = Vec::new();
+        for row in journal.iter().rev() {
+            if let Some(lft) = subnet.lft_mut(row.sw) {
+                write_row(lft, row.lid, row.old);
+            }
+            if !switches.contains(&row.sw) {
+                switches.push(row.sw);
+            }
+            let key = (row.sw, row.lid.lft_block());
+            if !blocks.contains(&key) {
+                blocks.push(key);
             }
         }
-        if !switches.contains(&row.sw) {
-            switches.push(row.sw);
+        tx.rolled_back_switches = switches.len();
+        for (sw, block) in blocks {
+            let Ok(routing) = routing_for(subnet, self.sm_node, sw, self.opts.smp_mode) else {
+                continue; // unreachable switch: the re-sweep will repair it
+            };
+            let hops = hops_of(subnet, self.sm_node, sw, &routing).unwrap_or(0);
+            tx.rollback_smps += 1;
+            let _ = send_block_smp(subnet, sw, block, &routing, hops, transport, ledger);
         }
-        let key = (row.sw, row.lid.lft_block());
-        if !blocks.contains(&key) {
-            blocks.push(key);
-        }
-    }
-    tx.rolled_back_switches = switches.len();
-    for (sw, block) in blocks {
-        let Ok(routing) = routing_for(subnet, sm_node, sw, opts.smp_mode) else {
-            continue; // unreachable switch: the re-sweep will repair it
-        };
-        let hops = hops_of(subnet, sm_node, sw, &routing).unwrap_or(0);
-        tx.rollback_smps += 1;
-        let _ = send_block_smp(subnet, sw, block, &routing, hops, transport, ledger);
-    }
-    let observer = ledger.observer();
-    if observer.is_enabled() {
-        observer.incr("migration.tx.rolled_back");
-        observer.record("migration.tx.rollback_smps", tx.rollback_smps as u64);
     }
 }
 
@@ -569,41 +423,77 @@ fn send_block_smp<C: SmpChannel>(
     transport.send(subnet, &smp, hops, ledger)
 }
 
-fn record_block_smp(
-    subnet: &Subnet,
-    sw: NodeId,
-    block: usize,
-    routing: &ib_mad::SmpRouting,
-    hops: usize,
-    ledger: &mut SmpLedger,
-) {
-    let empty = vec![None; ib_types::LFT_BLOCK_SIZE];
-    let payload = subnet
-        .lft(sw)
-        .and_then(|l| l.block(block))
-        .map_or(empty.clone(), <[_]>::to_vec);
-    let smp = Smp::set_lft_block(sw, routing.clone(), block, &payload);
-    ledger.record(&smp, hops);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ib_routing::testutil::assign_lids;
-    use ib_routing::EngineKind;
+    use ib_mad::LossyChannel;
     use ib_sm::{SmConfig, SubnetManager};
     use ib_subnet::topology::fattree::two_level;
+    use ib_subnet::topology::BuiltTopology;
 
     /// Bring up a 2-level fat tree with the default SM.
-    fn fabric() -> (ib_subnet::topology::BuiltTopology, SubnetManager) {
+    fn fabric() -> (BuiltTopology, SubnetManager) {
         let mut t = two_level(2, 3, 2);
         let mut sm = SubnetManager::new(t.hosts[0], SmConfig::default());
         sm.bring_up(&mut t.subnet).unwrap();
         (t, sm)
     }
 
-    fn host_lid(t: &ib_subnet::topology::BuiltTopology, i: usize) -> Lid {
+    fn host_lid(t: &BuiltTopology, i: usize) -> Lid {
         t.subnet.node(t.hosts[i]).ports[1].lid.unwrap()
+    }
+
+    fn lfts(t: &BuiltTopology) -> Vec<(NodeId, Lft)> {
+        t.subnet
+            .physical_switches()
+            .map(|n| (n.id, n.lft().unwrap().clone()))
+            .collect()
+    }
+
+    /// A swap over a perfect transport, asserting it committed.
+    fn swap(
+        t: &mut BuiltTopology,
+        sm: &mut SubnetManager,
+        a: Lid,
+        b: Lid,
+        opts: &MigrationOptions,
+        restrict: Option<&[NodeId]>,
+    ) -> LftUpdateStats {
+        let mut transport = SmpTransport::perfect(sm.sm_node);
+        let (stats, tx) = swap_on_fabric(
+            &mut t.subnet,
+            sm.sm_node,
+            a,
+            b,
+            opts,
+            restrict,
+            &mut transport,
+            &mut sm.ledger,
+        )
+        .unwrap();
+        assert!(tx.committed);
+        assert_eq!(tx.retries, 0);
+        stats
+    }
+
+    /// A copy over `transport`.
+    fn copy<C: SmpChannel>(
+        t: &mut BuiltTopology,
+        sm: &mut SubnetManager,
+        pf: Lid,
+        vm: Lid,
+        transport: &mut SmpTransport<C>,
+    ) -> IbResult<(LftUpdateStats, TxStats)> {
+        copy_on_fabric(
+            &mut t.subnet,
+            sm.sm_node,
+            pf,
+            vm,
+            &MigrationOptions::default(),
+            None,
+            transport,
+            &mut sm.ledger,
+        )
     }
 
     #[test]
@@ -611,9 +501,7 @@ mod tests {
         let (mut t, mut sm) = fabric();
         let a = host_lid(&t, 1); // on leaf 0
         let b = host_lid(&t, 4); // on leaf 1
-        let opts = MigrationOptions::default();
-        let stats =
-            swap_on_fabric(&mut t.subnet, sm.sm_node, a, b, &opts, None, &mut sm.ledger).unwrap();
+        let stats = swap(&mut t, &mut sm, a, b, &MigrationOptions::default(), None);
         // All LIDs < 64: every updated switch takes exactly one SMP.
         assert_eq!(stats.max_blocks_per_switch, 1);
         assert!(stats.switches_updated >= 1);
@@ -634,16 +522,8 @@ mod tests {
         sm.full_reconfiguration(&mut t.subnet).unwrap();
 
         let a = host_lid(&t, 1);
-        let stats = swap_on_fabric(
-            &mut t.subnet,
-            sm.sm_node,
-            a,
-            Lid::from_raw(70),
-            &MigrationOptions::default(),
-            None,
-            &mut sm.ledger,
-        )
-        .unwrap();
+        let b = Lid::from_raw(70);
+        let stats = swap(&mut t, &mut sm, a, b, &MigrationOptions::default(), None);
         assert_eq!(stats.max_blocks_per_switch, 2);
         assert_eq!(stats.lft_smps, stats.switches_updated * 2);
     }
@@ -656,16 +536,7 @@ mod tests {
         let a = host_lid(&t, 1);
         let b = host_lid(&t, 2);
         let total_switches = t.subnet.num_physical_switches();
-        let stats = swap_on_fabric(
-            &mut t.subnet,
-            sm.sm_node,
-            a,
-            b,
-            &MigrationOptions::default(),
-            None,
-            &mut sm.ledger,
-        )
-        .unwrap();
+        let stats = swap(&mut t, &mut sm, a, b, &MigrationOptions::default(), None);
         assert!(
             stats.switches_updated < total_switches,
             "n' must be < n when some switches already route both LIDs alike"
@@ -679,37 +550,22 @@ mod tests {
         let (mut t, mut sm) = fabric();
         let a = host_lid(&t, 1);
         let b = host_lid(&t, 4);
-        let snapshot: Vec<_> = t
-            .subnet
-            .physical_switches()
-            .map(|n| (n.id, n.lft().unwrap().clone()))
-            .collect();
+        let snapshot = lfts(&t);
         let opts = MigrationOptions::default();
-        swap_on_fabric(&mut t.subnet, sm.sm_node, a, b, &opts, None, &mut sm.ledger).unwrap();
-        swap_on_fabric(&mut t.subnet, sm.sm_node, a, b, &opts, None, &mut sm.ledger).unwrap();
-        for (id, before) in snapshot {
-            assert_eq!(t.subnet.lft(id).unwrap(), &before);
-        }
+        swap(&mut t, &mut sm, a, b, &opts, None);
+        swap(&mut t, &mut sm, a, b, &opts, None);
+        assert_eq!(lfts(&t), snapshot);
     }
 
     #[test]
     fn copy_costs_at_most_one_smp_per_switch() {
         let (mut t, mut sm) = fabric();
-        // Add a fresh VM LID and copy host 4's path onto it.
+        // Copy host 4's path onto a fresh VM LID.
         let pf = host_lid(&t, 4);
         let vm_lid = Lid::from_raw(40);
-        // Register the LID on a scratch endpoint so tracing works: reuse
-        // host 5's port (multi-LID endpoints are what vSwitches do).
-        let stats = copy_on_fabric(
-            &mut t.subnet,
-            sm.sm_node,
-            pf,
-            vm_lid,
-            &MigrationOptions::default(),
-            None,
-            &mut sm.ledger,
-        )
-        .unwrap();
+        let mut transport = SmpTransport::perfect(sm.sm_node);
+        let (stats, tx) = copy(&mut t, &mut sm, pf, vm_lid, &mut transport).unwrap();
+        assert!(tx.committed);
         assert_eq!(stats.max_blocks_per_switch, 1);
         assert_eq!(stats.lft_smps, stats.switches_updated);
         // Every physical switch now forwards the VM LID like the PF LID.
@@ -724,43 +580,77 @@ mod tests {
         let (mut t, mut sm) = fabric();
         let pf = host_lid(&t, 4);
         let vm_lid = Lid::from_raw(40);
-        let opts = MigrationOptions::default();
-        copy_on_fabric(
-            &mut t.subnet,
-            sm.sm_node,
-            pf,
-            vm_lid,
-            &opts,
-            None,
-            &mut sm.ledger,
-        )
-        .unwrap();
-        let again = copy_on_fabric(
-            &mut t.subnet,
-            sm.sm_node,
-            pf,
-            vm_lid,
-            &opts,
-            None,
-            &mut sm.ledger,
-        )
-        .unwrap();
+        let mut transport = SmpTransport::perfect(sm.sm_node);
+        copy(&mut t, &mut sm, pf, vm_lid, &mut transport).unwrap();
+        let (again, _) = copy(&mut t, &mut sm, pf, vm_lid, &mut transport).unwrap();
         assert_eq!(again.lft_smps, 0);
         assert_eq!(again.switches_updated, 0);
     }
 
     #[test]
     fn invalidate_first_adds_n_prime_smps() {
+        let (mut plain, mut sm_plain) = fabric();
         let (mut t, mut sm) = fabric();
         let a = host_lid(&t, 1);
         let b = host_lid(&t, 4);
+        let expected = swap(
+            &mut plain,
+            &mut sm_plain,
+            a,
+            b,
+            &MigrationOptions::default(),
+            None,
+        );
+        let before = sm.ledger.total();
         let opts = MigrationOptions {
             invalidate_first: true,
             ..MigrationOptions::default()
         };
-        let stats =
-            swap_on_fabric(&mut t.subnet, sm.sm_node, a, b, &opts, None, &mut sm.ledger).unwrap();
+        let stats = swap(&mut t, &mut sm, a, b, &opts, None);
+        assert!(stats.switches_updated > 0);
         assert_eq!(stats.invalidation_smps, stats.switches_updated);
+        assert_eq!(
+            stats,
+            LftUpdateStats {
+                invalidation_smps: expected.switches_updated,
+                ..expected
+            }
+        );
+        // Every SMP went through the ledger, and the drop-port detour
+        // leaves the same tables as the direct swap.
+        assert_eq!(
+            sm.ledger.total() - before,
+            stats.lft_smps + stats.invalidation_smps
+        );
+        assert_eq!(lfts(&t), lfts(&plain));
+    }
+
+    #[test]
+    fn invalidate_first_rolls_back_the_dropped_row() {
+        let (mut t, mut sm) = fabric();
+        let a = host_lid(&t, 1);
+        let b = host_lid(&t, 4);
+        let snapshot = lfts(&t);
+        let opts = MigrationOptions {
+            invalidate_first: true,
+            ..MigrationOptions::default()
+        };
+        let mut transport = SmpTransport::with_channel(sm.sm_node, LossyChannel::black_hole());
+        let (stats, tx) = swap_on_fabric(
+            &mut t.subnet,
+            sm.sm_node,
+            a,
+            b,
+            &opts,
+            None,
+            &mut transport,
+            &mut sm.ledger,
+        )
+        .unwrap();
+        assert!(!tx.committed);
+        assert_eq!(stats.invalidation_smps, 0);
+        // The row already sent to port 255 is restored with the rest.
+        assert_eq!(lfts(&t), snapshot);
     }
 
     #[test]
@@ -769,16 +659,14 @@ mod tests {
         let a = host_lid(&t, 1);
         let b = host_lid(&t, 2); // same leaf
         let leaf0 = t.switch_levels[0][0];
-        let stats = swap_on_fabric(
-            &mut t.subnet,
-            sm.sm_node,
+        let stats = swap(
+            &mut t,
+            &mut sm,
             a,
             b,
             &MigrationOptions::default(),
             Some(&[leaf0]),
-            &mut sm.ledger,
-        )
-        .unwrap();
+        );
         assert!(stats.switches_updated <= 1);
         // The LFT swap moves the LIDs between the two hosts; move the
         // endpoint registrations accordingly (the caller's step (a)).
@@ -806,58 +694,79 @@ mod tests {
         let (mut t, mut sm) = fabric();
         let a = host_lid(&t, 1);
         let opts = MigrationOptions::default();
-        assert!(
-            swap_on_fabric(&mut t.subnet, sm.sm_node, a, a, &opts, None, &mut sm.ledger).is_err()
-        );
-        assert!(
-            copy_on_fabric(&mut t.subnet, sm.sm_node, a, a, &opts, None, &mut sm.ledger).is_err()
-        );
-    }
-
-    #[test]
-    fn tx_swap_under_perfect_transport_matches_classic() {
-        let (mut t, mut sm) = fabric();
-        let (mut t2, mut sm2) = fabric();
-        let a = host_lid(&t, 1);
-        let b = host_lid(&t, 4);
-        let opts = MigrationOptions::default();
-        let classic =
-            swap_on_fabric(&mut t.subnet, sm.sm_node, a, b, &opts, None, &mut sm.ledger).unwrap();
-        let mut transport = SmpTransport::perfect(sm2.sm_node);
-        let (stats, tx) = swap_on_fabric_tx(
-            &mut t2.subnet,
-            sm2.sm_node,
+        let mut transport = SmpTransport::perfect(sm.sm_node);
+        assert!(swap_on_fabric(
+            &mut t.subnet,
+            sm.sm_node,
             a,
-            b,
+            a,
             &opts,
             None,
             &mut transport,
-            &mut sm2.ledger,
+            &mut sm.ledger
         )
-        .unwrap();
-        assert!(tx.committed);
-        assert_eq!(tx.retries, 0);
-        assert_eq!(tx.rollback_smps, 0);
-        assert_eq!(stats, classic);
-        assert_eq!(sm.ledger.records(), sm2.ledger.records());
-        for sw in t.subnet.physical_switches() {
-            assert_eq!(t2.subnet.lft(sw.id).unwrap(), sw.lft().unwrap());
+        .is_err());
+        assert!(copy(&mut t, &mut sm, a, a, &mut transport).is_err());
+    }
+
+    /// The ledger and the moved rows of a perfect-transport swap, pinned to
+    /// the values the record-only swap logged on this fabric before it was
+    /// folded into the transactional pass.
+    #[test]
+    fn perfect_swap_matches_recorded_classic_swap() {
+        let (mut t, mut sm) = fabric();
+        let a = host_lid(&t, 1);
+        let b = host_lid(&t, 4);
+        assert_eq!((a.raw(), b.raw()), (6, 9));
+        let before = lfts(&t);
+        let first = sm.ledger.total();
+        let stats = swap(&mut t, &mut sm, a, b, &MigrationOptions::default(), None);
+        assert_eq!(
+            stats,
+            LftUpdateStats {
+                lft_smps: 4,
+                invalidation_smps: 0,
+                switches_updated: 4,
+                max_blocks_per_switch: 1,
+            }
+        );
+        // One destination-routed, first-try, delivered LFT `Set` per
+        // switch, in switch order, at the recorded hop counts.
+        let records: Vec<(usize, usize)> = sm.ledger.records()[first..]
+            .iter()
+            .map(|r| {
+                assert_eq!(r.attribute, ib_mad::AttributeKind::LftBlock);
+                assert!(!r.directed);
+                assert_eq!(r.attempt, 0);
+                assert_eq!(r.status, ib_mad::SmpStatus::Delivered);
+                (r.target.index(), r.hops)
+            })
+            .collect();
+        assert_eq!(records, [(0, 1), (1, 3), (2, 2), (3, 2)]);
+        // The two swapped columns, per switch 0..4; every other row as
+        // before.
+        let column = |lid: Lid| -> Vec<Option<u8>> {
+            lfts(&t)
+                .iter()
+                .map(|(_, lft)| lft.get(lid).map(PortNum::raw))
+                .collect()
+        };
+        assert_eq!(column(a), [Some(5), Some(2), Some(2), Some(2)]);
+        assert_eq!(column(b), [Some(2), Some(5), Some(1), Some(1)]);
+        for ((_, now), (_, was)) in lfts(&t).iter_mut().zip(before) {
+            now.swap(a, b);
+            assert_eq!(now, &was);
         }
     }
 
     #[test]
-    fn tx_swap_rolls_back_on_black_hole() {
+    fn swap_rolls_back_on_black_hole() {
         let (mut t, mut sm) = fabric();
         let a = host_lid(&t, 1);
         let b = host_lid(&t, 4);
-        let snapshot: Vec<_> = t
-            .subnet
-            .physical_switches()
-            .map(|n| (n.id, n.lft().unwrap().clone()))
-            .collect();
-        let mut transport =
-            SmpTransport::with_channel(sm.sm_node, ib_mad::LossyChannel::black_hole());
-        let (_, tx) = swap_on_fabric_tx(
+        let snapshot = lfts(&t);
+        let mut transport = SmpTransport::with_channel(sm.sm_node, LossyChannel::black_hole());
+        let (_, tx) = swap_on_fabric(
             &mut t.subnet,
             sm.sm_node,
             a,
@@ -872,61 +781,33 @@ mod tests {
         // The very first switch fails, so exactly its rows were journaled.
         assert_eq!(tx.rolled_back_switches, 1);
         assert!(tx.rollback_smps >= 1);
-        for (id, before) in snapshot {
-            assert_eq!(t.subnet.lft(id).unwrap(), &before, "rows must be restored");
-        }
+        assert_eq!(lfts(&t), snapshot, "rows must be restored");
         assert!(sm.ledger.dropped() > 0);
     }
 
     #[test]
-    fn tx_copy_rolls_back_on_black_hole() {
+    fn copy_rolls_back_on_black_hole() {
         let (mut t, mut sm) = fabric();
         let pf = host_lid(&t, 4);
         let vm_lid = Lid::from_raw(40);
-        let snapshot: Vec<_> = t
-            .subnet
-            .physical_switches()
-            .map(|n| (n.id, n.lft().unwrap().clone()))
-            .collect();
-        let mut transport =
-            SmpTransport::with_channel(sm.sm_node, ib_mad::LossyChannel::black_hole());
-        let (_, tx) = copy_on_fabric_tx(
-            &mut t.subnet,
-            sm.sm_node,
-            pf,
-            vm_lid,
-            &MigrationOptions::default(),
-            None,
-            &mut transport,
-            &mut sm.ledger,
-        )
-        .unwrap();
+        let snapshot = lfts(&t);
+        let mut transport = SmpTransport::with_channel(sm.sm_node, LossyChannel::black_hole());
+        let (_, tx) = copy(&mut t, &mut sm, pf, vm_lid, &mut transport).unwrap();
         assert!(!tx.committed);
-        for (id, before) in snapshot {
-            assert_eq!(t.subnet.lft(id).unwrap(), &before);
-        }
+        assert_eq!(lfts(&t), snapshot);
     }
 
     #[test]
-    fn tx_swap_survives_moderate_loss() {
+    fn swap_survives_moderate_loss() {
         let (mut t, mut sm) = fabric();
         let (mut base, mut sm_base) = fabric();
         let a = host_lid(&t, 1);
         let b = host_lid(&t, 4);
         let opts = MigrationOptions::default();
-        swap_on_fabric(
-            &mut base.subnet,
-            sm_base.sm_node,
-            a,
-            b,
-            &opts,
-            None,
-            &mut sm_base.ledger,
-        )
-        .unwrap();
+        swap(&mut base, &mut sm_base, a, b, &opts, None);
         let mut transport = SmpTransport::lossy(sm.sm_node, 7, 0.10, 0);
         transport.retry.max_attempts = 8;
-        let (_, tx) = swap_on_fabric_tx(
+        let (_, tx) = swap_on_fabric(
             &mut t.subnet,
             sm.sm_node,
             a,
@@ -938,13 +819,11 @@ mod tests {
         )
         .unwrap();
         assert!(tx.committed, "8 attempts at 10% per-hop loss must converge");
-        for sw in base.subnet.physical_switches() {
-            assert_eq!(
-                t.subnet.lft(sw.id).unwrap(),
-                sw.lft().unwrap(),
-                "lossy commit must equal the fault-free result"
-            );
-        }
+        assert_eq!(
+            lfts(&t),
+            lfts(&base),
+            "lossy commit must equal the fault-free result"
+        );
     }
 
     #[test]
@@ -957,7 +836,7 @@ mod tests {
             smp_mode: SmpMode::Destination,
             ..MigrationOptions::default()
         };
-        swap_on_fabric(&mut t.subnet, sm.sm_node, a, b, &opts, None, &mut sm.ledger).unwrap();
+        swap(&mut t, &mut sm, a, b, &opts, None);
         assert!(sm.ledger.records().iter().all(|r| !r.directed));
 
         let opts = MigrationOptions {
@@ -965,9 +844,7 @@ mod tests {
             ..MigrationOptions::default()
         };
         sm.ledger.reset();
-        swap_on_fabric(&mut t.subnet, sm.sm_node, b, a, &opts, None, &mut sm.ledger).unwrap();
+        swap(&mut t, &mut sm, b, a, &opts, None);
         assert!(sm.ledger.records().iter().all(|r| r.directed));
-        let _ = EngineKind::MinHop;
-        let _ = assign_lids;
     }
 }

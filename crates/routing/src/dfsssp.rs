@@ -222,7 +222,6 @@ impl RoutingEngine for Dfsssp {
     /// lanes are exhausted (the SM then falls back to a full sweep).
     fn repair_with_graph(
         &self,
-        _subnet: &Subnet,
         g: &SwitchGraph,
         opts: RoutingOptions,
         prior: &RoutingTables,

@@ -88,7 +88,7 @@ pub trait RoutingEngine: Send + Sync {
     /// rewrite — reconfiguration cost scales with the damage, not the
     /// fabric.
     ///
-    /// `graph` must be [`SwitchGraph::build`]'s output for `subnet` in its
+    /// `graph` must be [`SwitchGraph::build`]'s output for the subnet in its
     /// *current* fault state — the SM caches it across repair sweeps in a
     /// quiet topology epoch and rebuilds only when
     /// `Subnet::topology_epoch` moves.
@@ -103,7 +103,6 @@ pub trait RoutingEngine: Send + Sync {
     /// need the gate.
     fn repair_with_graph(
         &self,
-        subnet: &Subnet,
         graph: &SwitchGraph,
         opts: RoutingOptions,
         prior: &RoutingTables,
@@ -115,7 +114,7 @@ pub trait RoutingEngine: Send + Sync {
 /// Repairs a *burst* of faults: folds [`RoutingEngine::repair_with_graph`]
 /// over the per-fault dirty groups in order, each repair splicing into the
 /// previous result and every step sharing `graph`. Groups must be disjoint
-/// and every faulted link must already be down in `subnet` before the call
+/// and every faulted link must already be down when `graph` is built
 /// — then each fold step sees exactly the columns the corresponding serial
 /// repair sweep would have re-routed, and the final tables are
 /// **byte-identical** to running the k repairs one trap at a time. A
@@ -131,7 +130,6 @@ pub trait RoutingEngine: Send + Sync {
 /// serial path's clean no-op.
 pub fn repair_batch(
     engine: &dyn RoutingEngine,
-    subnet: &Subnet,
     graph: &SwitchGraph,
     opts: RoutingOptions,
     prior: &RoutingTables,
@@ -141,7 +139,7 @@ pub fn repair_batch(
     let mut cur: Option<RoutingTables> = None;
     for group in dirty_groups.iter().filter(|g| !g.is_empty()) {
         let base = cur.as_ref().unwrap_or(prior);
-        cur = Some(engine.repair_with_graph(subnet, graph, opts, base, group, observer)?);
+        cur = Some(engine.repair_with_graph(graph, opts, base, group, observer)?);
     }
     Ok(cur.unwrap_or_else(|| prior.clone()))
 }
@@ -383,7 +381,7 @@ mod tests {
                     continue;
                 }
                 serial = engine
-                    .repair_with_graph(&t.subnet, &g, opts, &serial, &dirty, &obs)
+                    .repair_with_graph(&g, opts, &serial, &dirty, &obs)
                     .unwrap();
             }
 
@@ -399,8 +397,7 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            let batch =
-                repair_batch(engine.as_ref(), &t.subnet, &g, opts, &t0, &groups, &obs).unwrap();
+            let batch = repair_batch(engine.as_ref(), &g, opts, &t0, &groups, &obs).unwrap();
 
             assert_eq!(batch.lfts, serial.lfts, "{kind}");
             assert_eq!(batch.vls, serial.vls, "{kind}");

@@ -174,7 +174,6 @@ impl RoutingEngine for FatTree {
     /// repair behind the fabric verifier.
     fn repair_with_graph(
         &self,
-        _subnet: &Subnet,
         g: &SwitchGraph,
         opts: RoutingOptions,
         prior: &RoutingTables,

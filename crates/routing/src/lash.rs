@@ -231,7 +231,6 @@ impl RoutingEngine for Lash {
     /// re-layered.
     fn repair_with_graph(
         &self,
-        _subnet: &Subnet,
         g: &SwitchGraph,
         opts: RoutingOptions,
         prior: &RoutingTables,
@@ -746,7 +745,6 @@ mod tests {
         let mut prior = Lash::default().compute(&t.subnet).unwrap();
         prior.vls = VlAssignment::PerDestination(FxHashMap::default());
         let result = Lash::default().repair_with_graph(
-            &t.subnet,
             &g,
             RoutingOptions::default(),
             &prior,

@@ -135,7 +135,6 @@ impl RoutingEngine for MinHop {
     /// verifier before trusting it.
     fn repair_with_graph(
         &self,
-        _subnet: &Subnet,
         g: &SwitchGraph,
         opts: RoutingOptions,
         prior: &RoutingTables,

@@ -301,7 +301,6 @@ impl RoutingEngine for UpDown {
     /// why the SM gates every repair behind the fabric verifier.
     fn repair_with_graph(
         &self,
-        _subnet: &Subnet,
         g: &SwitchGraph,
         opts: RoutingOptions,
         prior: &RoutingTables,

@@ -13,9 +13,15 @@
 //! scoped worker threads when [`SweepOptions::workers`] asks for it and the
 //! per-chunk results are merged back in ascending switch order.
 //! **Applying** is serial and deterministic: the merged plans emit the SMP
-//! stream (ledger records, transport sends, installed-LFT writes) in
-//! exactly the order the sequential implementation used, so ledgers and
-//! installed tables are byte-identical for any worker count.
+//! stream (transport sends, their ledger records, installed-LFT writes) in
+//! ascending switch order, so ledgers and installed tables are
+//! byte-identical for any worker count.
+//!
+//! Every `Set` goes through an [`SmpTransport`]; a caller with no fault
+//! model passes [`SmpTransport::perfect`], whose ledger records are
+//! byte-identical to [`SmpLedger::record`]'s. [`push_blocks`] is the one
+//! distribution function: bring-up, light and heavy sweeps and incremental
+//! repairs all resume its failed blocks through it.
 
 use ib_mad::fault::{SmpChannel, SmpTransport};
 use ib_mad::{DirectedRoute, Smp, SmpAttribute, SmpLedger, SmpMethod, SmpRouting};
@@ -222,75 +228,6 @@ fn retarget_lft_smp(smp: &mut Smp, block: usize, data: &[Option<PortNum>; LFT_BL
     }
 }
 
-/// Distributes `tables` into the subnet, sending one SMP per dirty block
-/// per switch, and applying each block to the switch's installed LFT.
-pub fn distribute(
-    subnet: &mut Subnet,
-    sm_node: NodeId,
-    tables: &RoutingTables,
-    mode: SmpMode,
-    ledger: &mut SmpLedger,
-) -> IbResult<DistributionReport> {
-    distribute_opts(
-        subnet,
-        sm_node,
-        tables,
-        mode,
-        ledger,
-        SweepOptions::default(),
-    )
-}
-
-/// [`distribute`] with explicit [`SweepOptions`]: planning fans out across
-/// worker threads, the SMP stream stays byte-identical to the sequential
-/// path.
-pub fn distribute_opts(
-    subnet: &mut Subnet,
-    sm_node: NodeId,
-    tables: &RoutingTables,
-    mode: SmpMode,
-    ledger: &mut SmpLedger,
-    opts: SweepOptions,
-) -> IbResult<DistributionReport> {
-    ledger.begin_phase("lft-distribution");
-    let observer = ledger.observer().clone();
-    let plans = plan_all(subnet, sm_node, tables, mode, None, opts, &observer)?;
-    let _apply_span = observer.span("sweep.apply");
-    let mut report = DistributionReport::default();
-    for outcome in plans {
-        let plan = match outcome {
-            PlanOutcome::Clean => continue,
-            PlanOutcome::Unreachable { switch, .. } => {
-                // The classic path has no resume story: an unaddressable
-                // switch is an error, exactly as before the plan/apply split.
-                let routing = routing_for(subnet, sm_node, switch, mode)?;
-                hops_of(subnet, sm_node, switch, &routing)?;
-                return Err(IbError::Topology(format!(
-                    "{} unreachable from SM",
-                    subnet.name_of(switch)
-                )));
-            }
-            PlanOutcome::Update(plan) => plan,
-        };
-        let mut smp = lft_smp_for(&plan);
-        for (block, payload) in &plan.blocks {
-            retarget_lft_smp(&mut smp, *block, payload);
-            ledger.record(&smp, plan.hops);
-            // Apply the block to the installed LFT (the "switch firmware"
-            // side of the Set).
-            lft_mut_checked(subnet, plan.switch)?.write_block(*block, payload);
-        }
-        if observer.is_enabled() {
-            observer.add("sweep.dirty_blocks", plan.blocks.len() as u64);
-            observer.incr("sweep.switches_updated");
-        }
-        report.lft_smps += plan.blocks.len();
-        report.switches_updated += 1;
-        report.max_blocks_per_switch = report.max_blocks_per_switch.max(plan.blocks.len());
-    }
-    Ok(report)
-}
-
 /// The installed LFT of a planned switch. Planning only emits updates for
 /// nodes that had an LFT, so a miss here means the fabric degraded between
 /// plan and apply — an error, not a panic.
@@ -301,84 +238,15 @@ fn lft_mut_checked(subnet: &mut Subnet, switch: NodeId) -> IbResult<&mut Lft> {
     )))
 }
 
-/// Like [`distribute`], but every `Set` goes through a fault-aware
-/// [`SmpTransport`]. Blocks whose SMP exhausts its retries are *not*
-/// applied to the installed LFT; they are returned as [`FailedBlock`]s so
-/// the caller can resume with [`retry_failed_blocks`] instead of resending
-/// everything. A switch that is currently unreachable (no directed route,
-/// no LID route) fails all of its dirty blocks without consuming attempts.
-pub fn distribute_with<C: SmpChannel>(
-    subnet: &mut Subnet,
-    sm_node: NodeId,
-    tables: &RoutingTables,
-    mode: SmpMode,
-    transport: &mut SmpTransport<C>,
-    ledger: &mut SmpLedger,
-) -> IbResult<(DistributionReport, Vec<FailedBlock>)> {
-    distribute_with_opts(
-        subnet,
-        sm_node,
-        tables,
-        mode,
-        transport,
-        ledger,
-        SweepOptions::default(),
-    )
-}
-
-/// [`distribute_with`] with explicit [`SweepOptions`].
-pub fn distribute_with_opts<C: SmpChannel>(
-    subnet: &mut Subnet,
-    sm_node: NodeId,
-    tables: &RoutingTables,
-    mode: SmpMode,
-    transport: &mut SmpTransport<C>,
-    ledger: &mut SmpLedger,
-    opts: SweepOptions,
-) -> IbResult<(DistributionReport, Vec<FailedBlock>)> {
-    ledger.begin_phase("lft-distribution");
-    let (acct, failed) = push_blocks(subnet, sm_node, tables, mode, transport, ledger, None, opts)?;
-    Ok((acct.report(), failed))
-}
-
-/// Resumes an interrupted distribution: only the listed failed blocks are
-/// re-derived from `tables` and resent. Blocks that became clean in the
-/// meantime (installed LFT already matches the target) cost nothing. The
-/// returned report counts exactly the blocks this call applied, so summing
-/// it into the original report via [`ResumeAccounting`] reproduces the
-/// fault-free totals once everything has landed.
-pub fn retry_failed_blocks<C: SmpChannel>(
-    subnet: &mut Subnet,
-    sm_node: NodeId,
-    tables: &RoutingTables,
-    mode: SmpMode,
-    transport: &mut SmpTransport<C>,
-    ledger: &mut SmpLedger,
-    failed: &[FailedBlock],
-) -> IbResult<(DistributionReport, Vec<FailedBlock>)> {
-    ledger.begin_phase("lft-distribution-retry");
-    let (acct, still_failed) = push_blocks(
-        subnet,
-        sm_node,
-        tables,
-        mode,
-        transport,
-        ledger,
-        Some(failed),
-        SweepOptions::default(),
-    )?;
-    Ok((acct.report(), still_failed))
-}
-
 /// Exact cross-pass accounting for a resumable distribution.
 ///
 /// Per-call [`DistributionReport`]s cannot be summed field-wise: a switch
 /// that needed a retry pass would be counted in `switches_updated` once per
 /// pass, and `max_blocks_per_switch` would see only each pass's fragment.
 /// This accumulator tracks applied blocks *per switch* across the initial
-/// [`distribute_with`] and every [`retry_failed_blocks`] pass, so the final
-/// report is identical to what a fault-free run would have produced once
-/// every block has landed.
+/// [`push_blocks`] pass and every resume pass over its failed blocks, so
+/// the final report is identical to what a fault-free run would have
+/// produced once every block has landed.
 #[derive(Clone, Debug, Default)]
 pub struct ResumeAccounting {
     applied: FxHashMap<NodeId, usize>,
@@ -416,12 +284,20 @@ impl ResumeAccounting {
     }
 }
 
-/// Shared engine behind [`distribute_with`] and [`retry_failed_blocks`]:
-/// plans (possibly in parallel), then applies serially through the
-/// transport. Returns per-switch accounting for this call only — blocks
-/// actually attempted and applied here, never blocks from earlier passes.
+/// Distributes `tables` into the subnet: plans (possibly in parallel), then
+/// sends one `Set` per dirty block per switch through `transport`, in
+/// ascending switch order, writing each delivered block into the switch's
+/// installed LFT.
+///
+/// Blocks whose SMP exhausts its retries are *not* applied; they come back
+/// as [`FailedBlock`]s, and passing them as `restrict` resumes the
+/// distribution with only those blocks (re-derived from `tables`; one that
+/// became clean in the meantime costs nothing). A switch that is currently
+/// unreachable (no directed route, no LID route) fails all of its dirty
+/// blocks without consuming attempts. Returns per-switch accounting for
+/// this call only — blocks applied here, never blocks from earlier passes.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn push_blocks<C: SmpChannel>(
+pub fn push_blocks<C: SmpChannel>(
     subnet: &mut Subnet,
     sm_node: NodeId,
     tables: &RoutingTables,
@@ -529,27 +405,57 @@ mod tests {
     use ib_routing::testutil::assign_lids;
     use ib_routing::EngineKind;
     use ib_subnet::topology::fattree::two_level;
+    use ib_subnet::topology::BuiltTopology;
     use ib_types::Lid;
 
-    fn setup() -> (ib_subnet::topology::BuiltTopology, RoutingTables) {
+    fn setup() -> (BuiltTopology, RoutingTables) {
         let mut t = two_level(2, 3, 2);
         assign_lids(&mut t);
         let tables = EngineKind::MinHop.build().compute(&t.subnet).unwrap();
         (t, tables)
     }
 
+    /// One [`push_blocks`] pass over all of `tables` from host 0, with its
+    /// accounting folded into a report.
+    fn push<C: SmpChannel>(
+        t: &mut BuiltTopology,
+        tables: &RoutingTables,
+        mode: SmpMode,
+        transport: &mut SmpTransport<C>,
+        ledger: &mut SmpLedger,
+    ) -> (DistributionReport, Vec<FailedBlock>) {
+        let (acct, failed) = push_blocks(
+            &mut t.subnet,
+            t.hosts[0],
+            tables,
+            mode,
+            transport,
+            ledger,
+            None,
+            SweepOptions::default(),
+        )
+        .unwrap();
+        (acct.report(), failed)
+    }
+
+    /// [`push`] over a perfect transport, asserting every block landed.
+    fn push_perfect(
+        t: &mut BuiltTopology,
+        tables: &RoutingTables,
+        mode: SmpMode,
+        ledger: &mut SmpLedger,
+    ) -> DistributionReport {
+        let mut transport = SmpTransport::perfect(t.hosts[0]);
+        let (report, failed) = push(t, tables, mode, &mut transport, ledger);
+        assert!(failed.is_empty(), "{failed:?}");
+        report
+    }
+
     #[test]
     fn virgin_fabric_pays_n_times_m() {
         let (mut t, tables) = setup();
         let mut ledger = SmpLedger::new();
-        let report = distribute(
-            &mut t.subnet,
-            t.hosts[0],
-            &tables,
-            SmpMode::Directed,
-            &mut ledger,
-        )
-        .unwrap();
+        let report = push_perfect(&mut t, &tables, SmpMode::Directed, &mut ledger);
         // 10 LIDs -> topmost 10 -> 1 block; 4 switches -> 4 SMPs.
         assert_eq!(report.lft_smps, 4);
         assert_eq!(report.switches_updated, 4);
@@ -561,22 +467,8 @@ mod tests {
     fn redistribution_is_free_when_nothing_changed() {
         let (mut t, tables) = setup();
         let mut ledger = SmpLedger::new();
-        distribute(
-            &mut t.subnet,
-            t.hosts[0],
-            &tables,
-            SmpMode::Directed,
-            &mut ledger,
-        )
-        .unwrap();
-        let again = distribute(
-            &mut t.subnet,
-            t.hosts[0],
-            &tables,
-            SmpMode::Directed,
-            &mut ledger,
-        )
-        .unwrap();
+        push_perfect(&mut t, &tables, SmpMode::Directed, &mut ledger);
+        let again = push_perfect(&mut t, &tables, SmpMode::Directed, &mut ledger);
         assert_eq!(again.lft_smps, 0);
         assert_eq!(again.switches_updated, 0);
     }
@@ -585,14 +477,7 @@ mod tests {
     fn installed_lfts_route_traffic() {
         let (mut t, tables) = setup();
         let mut ledger = SmpLedger::new();
-        distribute(
-            &mut t.subnet,
-            t.hosts[0],
-            &tables,
-            SmpMode::Directed,
-            &mut ledger,
-        )
-        .unwrap();
+        push_perfect(&mut t, &tables, SmpMode::Directed, &mut ledger);
         // After distribution the *subnet* LFTs (not just the tables) must
         // deliver packets between the first and last hosts.
         let last = t.hosts[5];
@@ -603,52 +488,98 @@ mod tests {
 
     #[test]
     fn destination_mode_needs_switch_lids() {
-        let (mut t, tables) = setup();
+        // A destination-routed SMP rides the LFTs installed so far. On a
+        // virgin fabric the SM's own leaf (switch 0) is reached directly;
+        // once its block lands it forwards to both spines, but the far leaf
+        // (switch 1) sits behind a spine whose LFT is still empty when its
+        // SMP is sent, so that block is lost and not applied.
+        let (mut virgin, tables) = setup();
         let mut ledger = SmpLedger::new();
-        let report = distribute(
-            &mut t.subnet,
-            t.hosts[0],
+        let mut transport = SmpTransport::perfect(virgin.hosts[0]);
+        let (report, failed) = push(
+            &mut virgin,
             &tables,
             SmpMode::Destination,
+            &mut transport,
             &mut ledger,
-        )
-        .unwrap();
+        );
+        assert_eq!(report.lft_smps, 3);
+        assert_eq!(failed.len(), 1);
+        assert_eq!(failed[0].switch.index(), 1);
+        assert_eq!(ledger.delivered(), 3);
+        assert_eq!(
+            virgin
+                .subnet
+                .lft(failed[0].switch)
+                .unwrap()
+                .get(Lid::from_raw(1)),
+            None
+        );
+
+        // Once a directed distribution has installed the tables, a LID
+        // move is redistributed destination-routed.
+        let (mut t, tables) = setup();
+        push_perfect(&mut t, &tables, SmpMode::Directed, &mut SmpLedger::new());
+        t.subnet.clear_lid(Lid::from_raw(10)).unwrap();
+        t.subnet
+            .assign_port_lid(t.hosts[5], PortNum::new(1), Lid::from_raw(40))
+            .unwrap();
+        let tables = EngineKind::MinHop.build().compute(&t.subnet).unwrap();
+        let mut ledger = SmpLedger::new();
+        let report = push_perfect(&mut t, &tables, SmpMode::Destination, &mut ledger);
         assert_eq!(report.lft_smps, 4);
         // None of the recorded SMPs paid the directed-route overhead.
         assert!(ledger.records().iter().all(|r| !r.directed));
     }
 
+    /// The ledger and the installed tables a perfect-transport distribution
+    /// produces, pinned to the values the record-only distribution logged on
+    /// this fabric before it was folded into [`push_blocks`].
     #[test]
-    fn distribute_with_perfect_transport_matches_classic() {
+    fn perfect_transport_matches_recorded_classic_distribution() {
         let (mut t, tables) = setup();
-        let mut classic = t.subnet.clone();
-        let mut ledger_a = SmpLedger::new();
-        let report_a = distribute(
-            &mut classic,
-            t.hosts[0],
-            &tables,
-            SmpMode::Directed,
-            &mut ledger_a,
-        )
-        .unwrap();
-
-        let mut transport = SmpTransport::perfect(t.hosts[0]);
-        let mut ledger_b = SmpLedger::new();
-        let (report_b, failed) = distribute_with(
-            &mut t.subnet,
-            t.hosts[0],
-            &tables,
-            SmpMode::Directed,
-            &mut transport,
-            &mut ledger_b,
-        )
-        .unwrap();
-        assert!(failed.is_empty());
-        assert_eq!(report_a, report_b);
-        // Byte-identical ledgers: the fault-free transport is invisible.
-        assert_eq!(ledger_a.records(), ledger_b.records());
-        for sw in classic.physical_switches() {
-            assert_eq!(sw.lft(), t.subnet.lft(sw.id), "{}", sw.name);
+        let mut ledger = SmpLedger::new();
+        let report = push_perfect(&mut t, &tables, SmpMode::Directed, &mut ledger);
+        assert_eq!(
+            report,
+            DistributionReport {
+                lft_smps: 4,
+                switches_updated: 4,
+                max_blocks_per_switch: 1,
+            }
+        );
+        // One directed, first-try, delivered LFT `Set` per switch, in
+        // switch order, at the recorded hop counts.
+        let records: Vec<(usize, usize)> = ledger
+            .records()
+            .iter()
+            .map(|r| {
+                assert_eq!(r.method, SmpMethod::Set);
+                assert_eq!(r.attribute, ib_mad::AttributeKind::LftBlock);
+                assert!(r.directed);
+                assert_eq!(r.attempt, 0);
+                assert_eq!(r.status, ib_mad::SmpStatus::Delivered);
+                (r.target.index(), r.hops)
+            })
+            .collect();
+        assert_eq!(records, [(0, 1), (1, 3), (2, 2), (3, 2)]);
+        // Output port of LIDs 1..=10 on each switch.
+        let expected: [[u8; 10]; 4] = [
+            [0, 5, 4, 5, 1, 2, 3, 4, 5, 4],
+            [5, 0, 4, 5, 4, 5, 4, 1, 2, 3],
+            [1, 2, 0, 1, 1, 1, 1, 2, 2, 2],
+            [1, 2, 1, 0, 1, 1, 1, 2, 2, 2],
+        ];
+        let mut switches: Vec<_> = t.subnet.physical_switches().collect();
+        switches.sort_unstable_by_key(|s| s.id.index());
+        assert_eq!(switches.len(), expected.len());
+        for (sw, row) in switches.into_iter().zip(expected) {
+            let lft = sw.lft().unwrap();
+            let got: Vec<Option<u8>> = (1..=10)
+                .map(|l| lft.get(Lid::from_raw(l)).map(PortNum::raw))
+                .collect();
+            let want: Vec<Option<u8>> = row.into_iter().map(Some).collect();
+            assert_eq!(got, want, "{}", sw.name);
         }
     }
 
@@ -663,15 +594,13 @@ mod tests {
         let mut transport =
             SmpTransport::with_channel(t.hosts[0], ib_mad::LossyChannel::black_hole());
         let mut ledger = SmpLedger::new();
-        let (report, failed) = distribute_with(
-            &mut t.subnet,
-            t.hosts[0],
+        let (report, failed) = push(
+            &mut t,
             &tables,
             SmpMode::Directed,
             &mut transport,
             &mut ledger,
-        )
-        .unwrap();
+        );
         assert_eq!(report.lft_smps, 0);
         assert_eq!(report.switches_updated, 0);
         assert_eq!(failed.len(), 4); // 4 switches x 1 block
@@ -688,31 +617,30 @@ mod tests {
         let mut transport = SmpTransport::lossy(t.hosts[0], 0xBAD, 0.4, 0);
         transport.retry.max_attempts = 2;
         let mut ledger = SmpLedger::new();
-        let (mut report, mut failed) = distribute_with(
-            &mut t.subnet,
-            t.hosts[0],
+        let (mut report, mut failed) = push(
+            &mut t,
             &tables,
             SmpMode::Directed,
             &mut transport,
             &mut ledger,
-        )
-        .unwrap();
+        );
         // Keep retrying failed blocks until done (the channel is lossy but
         // fair, so this terminates with overwhelming probability).
         let mut passes = 0;
         while !failed.is_empty() && passes < 64 {
-            let (r2, f2) = retry_failed_blocks(
+            let (acct, still) = push_blocks(
                 &mut t.subnet,
                 t.hosts[0],
                 &tables,
                 SmpMode::Directed,
                 &mut transport,
                 &mut ledger,
-                &failed,
+                Some(&failed),
+                SweepOptions::default(),
             )
             .unwrap();
-            report.lft_smps += r2.lft_smps;
-            failed = f2;
+            report.lft_smps += acct.report().lft_smps;
+            failed = still;
             passes += 1;
         }
         assert!(failed.is_empty(), "did not converge");
@@ -734,29 +662,22 @@ mod tests {
         let (mut t, _) = setup();
         t.subnet.clear_lid(Lid::from_raw(10)).unwrap();
         t.subnet
-            .assign_port_lid(t.hosts[5], ib_types::PortNum::new(1), Lid::from_raw(0xBFFF))
+            .assign_port_lid(t.hosts[5], PortNum::new(1), Lid::from_raw(0xBFFF))
             .unwrap();
         let tables = EngineKind::MinHop.build().compute(&t.subnet).unwrap();
         let mut ledger = SmpLedger::new();
-        let report = distribute(
-            &mut t.subnet,
-            t.hosts[0],
-            &tables,
-            SmpMode::Directed,
-            &mut ledger,
-        )
-        .unwrap();
+        let report = push_perfect(&mut t, &tables, SmpMode::Directed, &mut ledger);
         assert_eq!(report.max_blocks_per_switch, 768);
     }
 
     /// Widens the fabric's LID footprint so every switch has several dirty
     /// blocks — enough for drops to split a switch's blocks across passes.
-    fn multi_block_setup() -> (ib_subnet::topology::BuiltTopology, RoutingTables) {
+    fn multi_block_setup() -> (BuiltTopology, RoutingTables) {
         let mut t = two_level(2, 3, 2);
         assign_lids(&mut t);
         t.subnet.clear_lid(Lid::from_raw(10)).unwrap();
         t.subnet
-            .assign_port_lid(t.hosts[5], ib_types::PortNum::new(1), Lid::from_raw(300))
+            .assign_port_lid(t.hosts[5], PortNum::new(1), Lid::from_raw(300))
             .unwrap();
         let tables = EngineKind::MinHop.build().compute(&t.subnet).unwrap();
         (t, tables)
@@ -769,16 +690,20 @@ mod tests {
         for workers in [1usize, 2, 8] {
             let mut subnet = t0.subnet.clone();
             let mut ledger = SmpLedger::new();
-            let report = distribute_opts(
+            let mut transport = SmpTransport::perfect(t0.hosts[0]);
+            let (acct, failed) = push_blocks(
                 &mut subnet,
                 t0.hosts[0],
                 &tables,
                 SmpMode::Directed,
+                &mut transport,
                 &mut ledger,
+                None,
                 SweepOptions::with_workers(workers),
             )
             .unwrap();
-            assert!(report.lft_smps > 0);
+            assert!(failed.is_empty());
+            assert!(acct.report().lft_smps > 0);
             let lfts: Vec<(NodeId, Lft)> = subnet
                 .physical_switches()
                 .map(|s| (s.id, s.lft().unwrap().clone()))
@@ -793,27 +718,22 @@ mod tests {
         }
     }
 
-    /// Regression: a `distribute_with` + `retry_failed_blocks` sequence,
-    /// merged through [`ResumeAccounting`], reproduces the fault-free
-    /// report exactly — per-call reports count only blocks applied in that
-    /// call, and switches split across passes are neither double-counted in
-    /// `switches_updated` nor undercounted in `max_blocks_per_switch`.
+    /// Regression: a first [`push_blocks`] pass plus resume passes over its
+    /// failed blocks, merged through [`ResumeAccounting`], reproduces the
+    /// fault-free report exactly — per-call reports count only blocks
+    /// applied in that call, and switches split across passes are neither
+    /// double-counted in `switches_updated` nor undercounted in
+    /// `max_blocks_per_switch`.
     #[test]
     fn resumable_accounting_sums_to_fault_free() {
         // Fault-free baseline.
         let (mut clean, tables) = multi_block_setup();
-        let mut ledger0 = SmpLedger::new();
-        let mut perfect = SmpTransport::perfect(clean.hosts[0]);
-        let (fault_free, none_failed) = distribute_with(
-            &mut clean.subnet,
-            clean.hosts[0],
+        let fault_free = push_perfect(
+            &mut clean,
             &tables,
             SmpMode::Directed,
-            &mut perfect,
-            &mut ledger0,
-        )
-        .unwrap();
-        assert!(none_failed.is_empty());
+            &mut SmpLedger::new(),
+        );
         assert!(
             fault_free.max_blocks_per_switch >= 4,
             "setup must give each switch several blocks"
@@ -825,21 +745,9 @@ mod tests {
         transport.retry.max_attempts = 2;
         let mut ledger = SmpLedger::new();
         let mut acct = ResumeAccounting::new();
-        let (acct0, mut failed) = push_blocks(
-            &mut t.subnet,
-            t.hosts[0],
-            &tables,
-            SmpMode::Directed,
-            &mut transport,
-            &mut ledger,
-            None,
-            SweepOptions::default(),
-        )
-        .unwrap();
-        acct.merge(acct0);
-        assert!(!failed.is_empty(), "seed must inject at least one drop");
+        let mut failed: Option<Vec<FailedBlock>> = None;
         let mut passes = 0;
-        while !failed.is_empty() && passes < 64 {
+        while failed.as_ref().is_none_or(|f| !f.is_empty()) && passes < 64 {
             let (more, still) = push_blocks(
                 &mut t.subnet,
                 t.hosts[0],
@@ -847,16 +755,19 @@ mod tests {
                 SmpMode::Directed,
                 &mut transport,
                 &mut ledger,
-                Some(&failed),
+                failed.as_deref(),
                 SweepOptions::default(),
             )
             .unwrap();
             acct.merge(more);
-            failed = still;
+            if passes == 0 {
+                assert!(!still.is_empty(), "seed must inject at least one drop");
+            }
+            failed = Some(still);
             passes += 1;
         }
-        assert!(failed.is_empty(), "did not converge");
-        assert!(passes > 0, "seed must force at least one retry pass");
+        assert_eq!(failed.as_deref(), Some(&[][..]), "did not converge");
+        assert!(passes > 1, "seed must force at least one retry pass");
         // Exact equality on all three fields — the regression this guards.
         assert_eq!(acct.report(), fault_free);
         // And the ledger agrees block for block.

@@ -2,18 +2,18 @@
 
 use std::time::Instant;
 
-use ib_mad::SmpLedger;
+use ib_mad::{SmpLedger, SmpTransport};
 use ib_observe::Observer;
 use ib_routing::{EngineKind, RoutingOptions};
 use ib_subnet::{lft::min_blocks_for, NodeId, Subnet};
-use ib_types::{IbResult, Lid, LidSpace};
+use ib_types::{IbError, IbResult, Lid, LidSpace};
 use std::collections::HashSet;
 
 use crate::discovery;
-use crate::distribution;
 use crate::lids;
 use crate::quarantine::{LinkQuarantine, QuarantineOptions};
 use crate::report::BringUpReport;
+use crate::traps::{ResweepReport, SweepKind};
 
 /// How the SM addresses its SMPs.
 ///
@@ -294,6 +294,9 @@ impl SubnetManager {
         self.reroute_and_distribute(subnet)
     }
 
+    /// Recomputes every path and installs the tables through the tail the
+    /// light and heavy sweeps share, over a perfect transport: a block that
+    /// still fails (its switch is unreachable from the SM) is an error.
     fn reroute_and_distribute(&mut self, subnet: &mut Subnet) -> IbResult<BringUpReport> {
         let engine = self.config.engine.build();
         let started = Instant::now();
@@ -302,46 +305,40 @@ impl SubnetManager {
             engine.compute_with(subnet, self.config.routing, self.ledger.observer())?
         };
         let path_computation = started.elapsed();
+        let decisions = tables.decisions;
 
-        let healed = self.refresh_partition_state(subnet);
-        let served = self.served_tables(&tables);
-        let dist = distribution::distribute_opts(
+        let mut transport = SmpTransport::perfect(self.sm_node);
+        let swept = self.install_full_tables(
             subnet,
-            self.sm_node,
-            served.as_ref().unwrap_or(&tables),
-            self.config.smp_mode,
-            &mut self.ledger,
-            self.config.sweep,
+            tables,
+            &mut transport,
+            ResweepReport::empty(SweepKind::Light),
         )?;
-
-        if self.config.verify {
-            self.verify_installed(subnet, &tables.vls)?;
+        if let Some(stranded) = swept.failed_blocks.first() {
+            return Err(IbError::Topology(format!(
+                "{} unreachable from SM ({} LFT blocks undelivered)",
+                subnet.name_of(stranded.switch),
+                swept.failed_blocks.len()
+            )));
         }
-        self.verify_healed(subnet, &healed)?;
-
-        let report = BringUpReport {
+        Ok(BringUpReport {
             discovery_smps: 0,
             lid_smps: 0,
             path_computation,
-            decisions: tables.decisions,
-            distribution: dist,
+            decisions,
+            distribution: swept.distribution,
             lids: subnet.num_lids(),
             min_blocks_per_switch: subnet.topmost_lid().map_or(0, min_blocks_for),
             engine: engine.name().to_string(),
-        };
-        // A full distribution covers every fault a deferred trap reported.
-        self.subsume_pending();
-        // Derive the index from the *installed* rows rather than `tables`:
-        // the two are equal on live switches after distribution, but dead
-        // switches keep stale rows the dirty-set scan still reads, and the
-        // index must agree with that scan exactly.
-        self.rebuild_route_index(subnet);
-        self.last_tables = Some(tables);
-        Ok(report)
+        })
     }
 
     /// Rebuilds the reverse route index from every installed table, under
-    /// the `sm.rindex_rebuild` span.
+    /// the `sm.rindex_rebuild` span. The index is derived from the
+    /// *installed* rows rather than the computed tables: the two are equal
+    /// on live switches after distribution, but dead switches keep stale
+    /// rows the dirty-set scan still reads, and the index must agree with
+    /// that scan exactly.
     pub(crate) fn rebuild_route_index(&mut self, subnet: &Subnet) {
         let _span = self.ledger.observer().span("sm.rindex_rebuild");
         self.route_index = Some(ib_verify::ReverseRouteIndex::from_installed(subnet));

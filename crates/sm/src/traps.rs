@@ -93,7 +93,7 @@ impl ResweepReport {
     /// A sweep of `kind` that pruned, removed and sent nothing: the shape
     /// of an absorbed or deferred trap and of a clean repair no-op, and
     /// the template every other sweep fills its outcome into.
-    fn empty(kind: SweepKind) -> Self {
+    pub(crate) fn empty(kind: SweepKind) -> Self {
         Self {
             kind,
             escalated: false,
@@ -382,12 +382,13 @@ impl SubnetManager {
         )
     }
 
-    /// The tail both full sweeps share: refresh the partition state,
+    /// The tail every full-table install shares — bring-up, full
+    /// reconfiguration, light and heavy sweeps: refresh the partition state,
     /// distribute `tables` with resume passes, verify the converged fabric,
     /// rebuild the reverse route index, prove any heal, and adopt `tables`
     /// as the next repair baseline. `report` carries the sweep's kind and
     /// pruning; the distribution outcome is filled in here.
-    fn install_full_tables<C: SmpChannel>(
+    pub(crate) fn install_full_tables<C: SmpChannel>(
         &mut self,
         subnet: &mut Subnet,
         tables: ib_routing::RoutingTables,
@@ -508,7 +509,6 @@ impl SubnetManager {
             Ok(graph) => {
                 let result = ib_routing::repair_batch(
                     engine.as_ref(),
-                    subnet,
                     &graph,
                     routing,
                     &prior,

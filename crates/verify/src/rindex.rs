@@ -327,7 +327,6 @@ mod tests {
         let after = EngineKind::MinHop
             .build()
             .repair_with_graph(
-                &t.subnet,
                 &graph,
                 ib_routing::RoutingOptions::default(),
                 &before,

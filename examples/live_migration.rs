@@ -36,7 +36,8 @@ fn run(arch: VirtArch) {
     // Under Shared Port the destination must be empty (the emulation
     // restriction); hypervisor 3 is on the other switch.
     let workflow = LiveMigrationWorkflow::default();
-    match workflow.execute(&mut dc, vm, 3) {
+    let mut transport = SmpTransport::perfect(dc.sm.sm_node);
+    match workflow.execute(&mut dc, vm, 3, &mut transport) {
         Ok(trace) => {
             println!("four-step workflow:");
             for step in &trace.steps {

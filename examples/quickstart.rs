@@ -61,10 +61,7 @@ fn main() {
         "  hypervisor {} -> {} (intra-leaf: {})",
         report.from_hypervisor, report.to_hypervisor, report.intra_leaf
     );
-    println!(
-        "  LID {} -> {} (addresses follow the VM)",
-        report.lid_before, report.lid_after
-    );
+    println!("  LID {} (the address follows the VM)", report.lid);
     println!(
         "  SMPs: {} to hypervisors, {} LFT updates on {} switches (n'), max {} per switch (m')",
         report.hypervisor_smps,

@@ -25,8 +25,10 @@
 //! // Boot a VM and live-migrate it across the fabric: zero path
 //! // recomputation, and only one or two SMPs per updated switch.
 //! let vm = dc.create_vm("webserver", 0).unwrap();
+//! let lid = dc.vm(vm).unwrap().lid;
 //! let report = dc.migrate_vm(vm, 35).unwrap();
-//! assert_eq!(report.lid_before, report.lid_after); // addresses follow the VM
+//! assert_eq!(dc.vm(vm).unwrap().lid, lid);         // the address follows the VM
+//! assert_eq!(report.lid, lid);
 //! assert!(report.lft.max_blocks_per_switch <= 2);  // m' ∈ {1, 2}
 //! dc.verify_connectivity().unwrap();
 //! ```
@@ -69,7 +71,7 @@ pub mod prelude {
     pub use ib_core::{
         DataCenter, DataCenterConfig, MigrationOptions, MigrationReport, VirtArch, VmId,
     };
-    pub use ib_mad::{CostModel, SmpLedger};
+    pub use ib_mad::{CostModel, SmpLedger, SmpTransport};
     pub use ib_observe::Observer;
     pub use ib_routing::{EngineKind, RoutingEngine};
     pub use ib_sm::{SmConfig, SmpMode, SubnetManager};

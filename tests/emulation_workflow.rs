@@ -6,6 +6,7 @@ use ib_cloud::{
     Inventory, LiveMigrationWorkflow, NodeResources, PlacementPolicy, SpreadPolicy, VmFlavor,
 };
 use ib_core::{DataCenterConfig, VirtArch};
+use ib_mad::SmpTransport;
 use ib_sim::SimTime;
 
 fn config(arch: VirtArch) -> DataCenterConfig {
@@ -20,8 +21,9 @@ fn config(arch: VirtArch) -> DataCenterConfig {
 fn four_steps_execute_in_order_with_positive_durations() {
     let mut dc = testbed_datacenter(config(VirtArch::VSwitchPrepopulated)).unwrap();
     let vm = dc.create_vm("centos", 0).unwrap();
+    let mut transport = SmpTransport::perfect(dc.sm.sm_node);
     let trace = LiveMigrationWorkflow::default()
-        .execute(&mut dc, vm, 3)
+        .execute(&mut dc, vm, 3, &mut transport)
         .unwrap();
     let names: Vec<&str> = trace.steps.iter().map(|s| s.name.as_str()).collect();
     assert_eq!(
@@ -43,8 +45,9 @@ fn guid_follows_the_vm() {
     let vm = dc.create_vm("centos", 1).unwrap();
     let vguid = dc.vm(vm).unwrap().vguid;
     let gid = dc.vm(vm).unwrap().gid();
+    let mut transport = SmpTransport::perfect(dc.sm.sm_node);
     LiveMigrationWorkflow::default()
-        .execute(&mut dc, vm, 4)
+        .execute(&mut dc, vm, 4, &mut transport)
         .unwrap();
     let rec = dc.vm(vm).unwrap();
     assert_eq!(rec.vguid, vguid, "vGUID migrates with the VM");
@@ -61,8 +64,14 @@ fn shared_port_allows_only_one_vm_per_node_to_move_safely() {
     assert!(dc.migrate_vm(a, 5).is_err());
     dc.destroy_vm(b).unwrap();
     // Alone, it may move to an empty node.
+    let lid = dc.vm(a).unwrap().lid;
     let report = dc.migrate_vm(a, 5).unwrap();
-    assert_eq!(report.lid_before, report.lid_after);
+    assert_eq!(report.lid, lid);
+    assert_eq!(
+        dc.vm(a).unwrap().lid,
+        lid,
+        "the LID value survives the move"
+    );
     dc.verify_connectivity().unwrap();
 }
 
@@ -137,8 +146,9 @@ fn scheduler_places_and_workflow_moves() {
 
     // Evacuate node 5 (the small box) via the workflow.
     let (vm, src) = placed[5];
+    let mut transport = SmpTransport::perfect(dc.sm.sm_node);
     let trace = LiveMigrationWorkflow::default()
-        .execute(&mut dc, vm, 0)
+        .execute(&mut dc, vm, 0, &mut transport)
         .unwrap();
     inv.release(src, &flavor).unwrap();
     inv.allocate(0, &flavor).unwrap();

@@ -41,8 +41,10 @@ fn failover_mid_datacenter_keeps_every_vm_reachable() {
     assert_eq!(dc.subnet.lids(), lids_before, "no renumbering on failover");
 
     // Life goes on: migrate the VM and verify.
+    let lid = dc.vm(vm).unwrap().lid;
     let report = dc.migrate_vm(vm, 5).unwrap();
-    assert_eq!(report.lid_before, report.lid_after);
+    assert_eq!(report.lid, lid);
+    assert_eq!(dc.vm(vm).unwrap().lid, lid, "the LID follows the VM");
     dc.verify_connectivity().unwrap();
 
     // The adopted manager can run a full reconfiguration. The earlier

@@ -2,14 +2,39 @@
 //! LIDs laid out exactly as in the paper, VM1 (LID 2) migrated from
 //! hypervisor 1 to hypervisor 3 by swapping LFT rows 2 and 12.
 
-use ib_core::migration::{swap_on_fabric, MigrationOptions};
+use ib_core::migration::{swap_on_fabric, LftUpdateStats, MigrationOptions};
 use ib_core::{DataCenter, DataCenterConfig, VirtArch};
-use ib_mad::SmpLedger;
+use ib_mad::{SmpLedger, SmpTransport};
 use ib_subnet::topology::basic::fig5_fabric;
+use ib_subnet::NodeId;
 use ib_types::{Lid, PortNum};
 
 fn lid(raw: u16) -> Lid {
     Lid::from_raw(raw)
+}
+
+/// Swaps the rows of `a` and `b` over a perfect transport from `sm`.
+fn swap(
+    s: &mut ib_subnet::Subnet,
+    sm: NodeId,
+    a: Lid,
+    b: Lid,
+    ledger: &mut SmpLedger,
+) -> LftUpdateStats {
+    let mut transport = SmpTransport::perfect(sm);
+    let (stats, tx) = swap_on_fabric(
+        s,
+        sm,
+        a,
+        b,
+        &MigrationOptions::default(),
+        None,
+        &mut transport,
+        ledger,
+    )
+    .unwrap();
+    assert!(tx.committed);
+    stats
 }
 
 /// Builds the exact Fig. 3 state: hypervisor 1 = PF LID 1 + VF LIDs 2, 3,
@@ -29,9 +54,12 @@ fn fig3_subnet() -> (
     let hyps = t.hosts.clone();
 
     // Switch LIDs (outside Fig. 3's 1-12 endpoint range) so that
-    // destination-routed SMPs can address the switches.
+    // destination-routed SMPs can address the switches; each leaf reaches
+    // the other's LID over the trunk (port 4), as a routed fabric would.
     s.assign_switch_lid(leaf0, lid(20)).unwrap();
     s.assign_switch_lid(leaf1, lid(21)).unwrap();
+    s.lft_mut(leaf0).unwrap().set(lid(21), PortNum::new(4));
+    s.lft_mut(leaf1).unwrap().set(lid(20), PortNum::new(4));
 
     // LID layout of Fig. 3. Each hypervisor's PF and VFs hang off one leaf
     // port, so from the switch's perspective they share a forwarding port.
@@ -88,16 +116,7 @@ fn fig5_swap_updates_ports_exactly_as_printed() {
     assert_eq!(s.lft(leaf0).unwrap().get(lid(2)), Some(PortNum::new(2)));
     assert_eq!(s.lft(leaf0).unwrap().get(lid(12)), Some(PortNum::new(4)));
 
-    let stats = swap_on_fabric(
-        &mut s,
-        hyps[0],
-        lid(2),
-        lid(12),
-        &MigrationOptions::default(),
-        None,
-        &mut ledger,
-    )
-    .unwrap();
+    let stats = swap(&mut s, hyps[0], lid(2), lid(12), &mut ledger);
 
     // After: LID 2 -> port 4, LID 12 -> port 2 — the exact Fig. 5 rows.
     assert_eq!(s.lft(leaf0).unwrap().get(lid(2)), Some(PortNum::new(4)));
@@ -128,16 +147,7 @@ fn fig5_cross_block_variant_needs_two_smps() {
     s.lft_mut(leaf1).unwrap().set(lid(70), PortNum::new(2));
 
     let mut ledger = SmpLedger::new();
-    let stats = swap_on_fabric(
-        &mut s,
-        hyps[0],
-        lid(2),
-        lid(70),
-        &MigrationOptions::default(),
-        None,
-        &mut ledger,
-    )
-    .unwrap();
+    let stats = swap(&mut s, hyps[0], lid(2), lid(70), &mut ledger);
     assert_eq!(stats.max_blocks_per_switch, 2);
     assert_eq!(stats.lft_smps, stats.switches_updated * 2);
 }
@@ -150,16 +160,7 @@ fn fig5_swap_to_same_leaf_lid_skips_remote_switch() {
     let (mut s, _leaf0, leaf1, hyps) = fig3_subnet();
     let before_leaf1 = s.lft(leaf1).unwrap().clone();
     let mut ledger = SmpLedger::new();
-    let stats = swap_on_fabric(
-        &mut s,
-        hyps[0],
-        lid(2),
-        lid(6),
-        &MigrationOptions::default(),
-        None,
-        &mut ledger,
-    )
-    .unwrap();
+    let stats = swap(&mut s, hyps[0], lid(2), lid(6), &mut ledger);
     assert_eq!(stats.switches_updated, 1, "only the local leaf changes");
     assert_eq!(s.lft(leaf1).unwrap(), &before_leaf1);
 }
@@ -187,7 +188,8 @@ fn fig5_full_datacenter_migration_end_to_end() {
     let lid_before = dc.vm(vm).unwrap().lid;
     let report = dc.migrate_vm(vm, 2).unwrap();
 
-    assert_eq!(report.lid_after, lid_before, "LID follows the VM");
+    assert_eq!(report.lid, lid_before);
+    assert_eq!(dc.vm(vm).unwrap().lid, lid_before, "LID follows the VM");
     assert!(report.lft.max_blocks_per_switch <= 2);
     assert!(report.lft.switches_updated <= 2);
     assert!(!report.intra_leaf);

@@ -4,6 +4,7 @@
 //! routing.
 
 use ib_core::{DataCenter, DataCenterConfig, MigrationOptions, VirtArch};
+use ib_mad::{Smp, SmpAttribute, SmpChannel, SmpStatus, SmpTransport};
 use ib_routing::balance::LinkLoad;
 use ib_routing::EngineKind;
 use ib_sm::{SmConfig, SmpMode, SubnetManager};
@@ -226,6 +227,120 @@ fn invalidate_first_variant_end_to_end() {
         "§VI-C: invalidation adds one SMP per updated switch"
     );
     dc.verify_connectivity().unwrap();
+}
+
+/// §VI-C through the transactional pipeline: the port-255 SMPs go through
+/// the transport like every other `Set`, so they are counted, land in the
+/// migration's ledger phase, and are journaled for rollback.
+#[test]
+fn invalidate_first_resilient_migration_counts_and_rolls_back() {
+    for arch in [VirtArch::VSwitchPrepopulated, VirtArch::VSwitchDynamic] {
+        let build = || {
+            DataCenter::from_topology(
+                fattree::two_level(2, 3, 2),
+                DataCenterConfig {
+                    arch,
+                    vfs_per_hypervisor: 2,
+                    migration: MigrationOptions {
+                        invalidate_first: true,
+                        ..MigrationOptions::default()
+                    },
+                    ..DataCenterConfig::default()
+                },
+            )
+            .unwrap()
+        };
+
+        let mut dc = build();
+        let vm = dc.create_vm("vm", 0).unwrap();
+        let mut transport = SmpTransport::perfect(dc.sm.sm_node);
+        let report = dc.migrate_vm_resilient(vm, 4, &mut transport).unwrap();
+        assert!(report.committed, "{arch}");
+        assert!(report.lft.switches_updated > 0, "{arch}");
+        assert_eq!(
+            report.lft.invalidation_smps, report.lft.switches_updated,
+            "{arch}: one port-255 SMP per updated switch"
+        );
+        assert_eq!(
+            dc.sm.ledger.phase_total(&format!("migrate-{vm}")),
+            report.hypervisor_smps + report.lft.lft_smps + report.lft.invalidation_smps,
+            "{arch}: every SMP of the report is in the ledger phase"
+        );
+        dc.verify_connectivity().unwrap();
+
+        // A transport that turns into a black hole mid step (b) rolls the
+        // migration back: one switch was fully updated and the next had
+        // its row sent to port 255 when the real update was lost, and
+        // both come back byte-identical to the snapshot.
+        let mut dc = build();
+        let vm = dc.create_vm("vm", 0).unwrap();
+        let snapshot: Vec<_> = dc
+            .subnet
+            .physical_switches()
+            .map(|n| (n.id, n.lft().unwrap().clone()))
+            .collect();
+        let mut transport = SmpTransport::with_channel(
+            dc.sm.sm_node,
+            LftBlackHoleAfter {
+                delivered: 0,
+                limit: 3,
+            },
+        );
+        let report = dc.migrate_vm_resilient(vm, 4, &mut transport).unwrap();
+        assert!(!report.committed, "{arch}");
+        assert_eq!(report.hypervisor_smps, 3, "{arch}: step (a) went through");
+        assert_eq!(report.lft.invalidation_smps, 2, "{arch}");
+        assert_eq!(report.tx.rolled_back_switches, 2, "{arch}");
+        for (id, before) in snapshot {
+            assert_eq!(dc.subnet.lft(id).unwrap(), &before, "{arch}: LFT restored");
+        }
+        dc.verify_connectivity().unwrap();
+    }
+}
+
+/// Delivers every SMP except LFT blocks past the first `limit`, which
+/// are all lost: a fabric that fails in the middle of step (b).
+struct LftBlackHoleAfter {
+    delivered: usize,
+    limit: usize,
+}
+
+impl SmpChannel for LftBlackHoleAfter {
+    fn attempt(&mut self, smp: &Smp, _hops: usize) -> SmpStatus {
+        if !matches!(smp.attribute, SmpAttribute::LftBlock { .. }) {
+            return SmpStatus::Delivered;
+        }
+        if self.delivered == self.limit {
+            return SmpStatus::Dropped { hop: 0 };
+        }
+        self.delivered += 1;
+        SmpStatus::Delivered
+    }
+}
+
+/// `DataCenterConfig::verify` checks every migration's locality (§V-C),
+/// the plain `migrate_vm` included.
+#[test]
+fn verified_migrate_vm_runs_the_locality_check() {
+    for arch in [VirtArch::VSwitchPrepopulated, VirtArch::VSwitchDynamic] {
+        let mut dc = DataCenter::from_topology_observed(
+            fattree::two_level(2, 3, 2),
+            DataCenterConfig {
+                arch,
+                vfs_per_hypervisor: 2,
+                verify: true,
+                ..DataCenterConfig::default()
+            },
+            ib_observe::Observer::metrics(),
+        )
+        .unwrap();
+        let vm = dc.create_vm("vm", 0).unwrap();
+        dc.migrate_vm(vm, 4).unwrap();
+        let snap = dc.sm.observer().snapshot().unwrap();
+        assert_eq!(snap.counter("migration.verify.runs"), 1, "{arch}");
+        assert_eq!(snap.counter("migration.verify.clean"), 1, "{arch}");
+        assert_eq!(snap.counter("migration.verify.failed"), 0, "{arch}");
+    }
 }
 
 #[test]

@@ -271,7 +271,6 @@ fn every_engine_refuses_an_unusable_baseline() {
         prior.lfts.remove(&graph.node_id(0));
         let observer = Observer::metrics();
         let result = e.repair_with_graph(
-            &t.subnet,
             &graph,
             RoutingOptions::default(),
             &prior,

@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use ib_core::migration::{swap_on_fabric, MigrationOptions};
-use ib_mad::SmpLedger;
+use ib_mad::{SmpLedger, SmpTransport};
 use ib_routing::testutil::{assign_lids, host_lid};
 use ib_routing::EngineKind;
 use ib_sm::{SmConfig, SubnetManager};
@@ -288,9 +288,24 @@ fn algorithm1_swap_touches_only_the_swapped_columns() {
         let (a, b) = (host_lid(&t, ha), host_lid(&t, hb));
         let opts = MigrationOptions::default();
         let mut ledger = SmpLedger::new();
+        let mut transport = SmpTransport::perfect(sm_node);
+        let mut swap = |subnet: &mut ib_subnet::Subnet| {
+            let (_, tx) = swap_on_fabric(
+                subnet,
+                sm_node,
+                a,
+                b,
+                &opts,
+                None,
+                &mut transport,
+                &mut ledger,
+            )
+            .unwrap();
+            assert!(tx.committed);
+        };
 
         let before = LftSnapshot::capture(&t.subnet);
-        swap_on_fabric(&mut t.subnet, sm_node, a, b, &opts, None, &mut ledger).unwrap();
+        swap(&mut t.subnet);
         let after = LftSnapshot::capture(&t.subnet);
 
         let changed = before.diff(&after);
@@ -303,7 +318,7 @@ fn algorithm1_swap_touches_only_the_swapped_columns() {
             .all(|v| v.class == InvariantClass::Addressing));
 
         // Swap back: the fabric fingerprint is restored exactly.
-        swap_on_fabric(&mut t.subnet, sm_node, a, b, &opts, None, &mut ledger).unwrap();
+        swap(&mut t.subnet);
         let restored = LftSnapshot::capture(&t.subnet);
         assert!(before.diff(&restored).is_empty());
     }
